@@ -441,7 +441,7 @@ fn dispatch(
             eprintln!("global flags:");
             eprintln!("  --threads N  worker threads for the LP kernels (0 = auto)");
             eprintln!("  --trace P    write an mec-obs trace JSON with flight-recorder");
-            eprintln!("               events (schema v2, DESIGN.md §7)");
+            eprintln!("               events (schema v3, DESIGN.md §7)");
             eprintln!("environment:");
             eprintln!("  DSMEC_THREADS=N       worker threads when --threads is not given");
             eprintln!("  DSMEC_TRACE=P         trace output path when --trace is not given");

@@ -120,7 +120,7 @@ pub fn apply_threads(spec: &str) -> Result<usize, String> {
 /// path the caller should later pass to [`write_trace`].
 ///
 /// Tracing to a file also switches on the flight recorder (per-span
-/// events, trace schema v2), which is what `dsmec trace` analyzes.
+/// events, trace schema v3), which is what `dsmec trace` analyzes.
 /// `DSMEC_TRACE_EVENTS=0` keeps a run aggregates-only — smaller files,
 /// e.g. for the committed `bench/baseline.json`; any other value (or
 /// unset) records events.

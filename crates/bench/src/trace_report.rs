@@ -80,6 +80,7 @@ pub fn trace_command(args: &TraceArgs) -> Result<(), String> {
     }
 
     let forest = SpanForest::build(&snap);
+    print!("{}", render_dropped_warning(&snap));
     print!("{}", render_table(&snap, &forest, args.top));
     print!("{}", render_critical_path(&snap, &forest));
     if let Some(out) = &args.folded {
@@ -91,6 +92,20 @@ pub fn trace_command(args: &TraceArgs) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// A warning for traces whose event ring overflowed, empty otherwise.
+/// The ring drops its oldest events, so a surviving parent whose children
+/// were dropped counts their time as its own self time.
+fn render_dropped_warning(snapshot: &TraceSnapshot) -> String {
+    match snapshot.counter("obs/events/dropped") {
+        Some(dropped) if dropped > 0 => format!(
+            "warning: the trace dropped {dropped} of its oldest events \
+             (obs/events/dropped);\n\
+             spans whose children were dropped show overstated self time\n\n"
+        ),
+        _ => String::new(),
+    }
 }
 
 /// The span forest reconstructed from a trace's events: children grouped
@@ -587,6 +602,19 @@ mod tests {
             }],
             events,
         }
+    }
+
+    #[test]
+    fn dropped_events_are_warned_about() {
+        let mut snap = fixture();
+        assert_eq!(render_dropped_warning(&snap), "");
+        snap.counters.push(CounterStat {
+            name: "obs/events/dropped".into(),
+            value: 1234,
+        });
+        let warning = render_dropped_warning(&snap);
+        assert!(warning.contains("dropped 1234"), "{warning}");
+        assert!(warning.contains("overstated self time"), "{warning}");
     }
 
     #[test]

@@ -19,6 +19,7 @@ const MAX_DEPTH: usize = 128;
 /// syntax violation, including truncated input.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -32,6 +33,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -199,9 +201,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ASCII")
-            .to_string();
+        let token = self.text[start..self.pos].to_string();
         Ok(Json::Num(Number::from_token(token)))
     }
 
@@ -265,13 +265,17 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is valid UTF-8 by
-                    // construction of `&str`).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).expect("input was a &str");
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of plain bytes at once. It ends
+                    // at an ASCII byte, never inside a multi-byte UTF-8
+                    // sequence, so the slice is a `str` boundary.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

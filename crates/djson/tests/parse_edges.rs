@@ -117,3 +117,36 @@ fn malformed_exponents_are_syntax_errors() {
     // Huge exponent digits are grammar-fine; only typed decode objects.
     assert!(parse("1e18446744073709551616").is_ok());
 }
+
+/// String parsing is linear in the input: a document of more than a
+/// MiB of short ASCII and multi-byte UTF-8 strings parses and
+/// round-trips. (Re-validating the rest of the input per character made
+/// this quadratic; multi-MiB traces never finished.)
+#[test]
+fn megabyte_documents_of_short_strings_round_trip() {
+    let words = [
+        "span",
+        "données",
+        "линия",
+        "任务",
+        "🚀",
+        "a\"b\\c",
+        "tab\there",
+    ];
+    let strings: Vec<String> = (0..80_000)
+        .map(|i| format!("{}-{i}", words[i % words.len()]))
+        .collect();
+    let text = djson::to_string(&strings);
+    assert!(
+        text.len() >= 1 << 20,
+        "document is only {} bytes",
+        text.len()
+    );
+    let started = std::time::Instant::now();
+    let back: Vec<String> = from_str(&text).unwrap();
+    assert_eq!(back, strings);
+    assert_eq!(parse(&text).unwrap().render(false), text);
+    // Generous: the linear parser takes milliseconds; the quadratic one
+    // took minutes on this input.
+    assert!(started.elapsed().as_secs() < 10, "{:?}", started.elapsed());
+}

@@ -1,6 +1,22 @@
-//! Basis factorization for the revised simplex: a dense LU decomposition
-//! (partial pivoting) of the `m × m` basis matrix, extended between
-//! refactorizations by a product-form **eta file**.
+//! Basis factorization for the revised simplex: a sparse LU decomposition
+//! of the `m × m` basis matrix, extended between refactorizations by a
+//! product-form **eta file**.
+//!
+//! [`LuFactors::factor`] is a left-looking (Gilbert–Peierls) sparse LU,
+//! `P B Q = L U`. The columns of `B` arrive as lists of `(row, value)`
+//! pairs and are factored sparsest first. The earlier columns of `L` are
+//! applied to each in increasing pivot order, driven by a min-heap over
+//! the pivoted rows the column touches; what lands on pivoted rows is the
+//! column of `U`, what lands on the others are the pivot candidates.
+//! Threshold partial pivoting admits every candidate with
+//! `|x| ≥ 0.1 · max |x|` and picks the one whose row has the fewest
+//! nonzeros in `B`, then the larger `|x|`, then the lower row index, so
+//! the choice is deterministic. The HTA basis has at most two nonzeros
+//! per column and is mostly a permuted identity: its unit columns pivot
+//! first, the row-count rule takes the singleton rows, and the cluster
+//! bases factor with no fill at all. `L` and `U` are stored as sparse
+//! columns, and a solve touches each stored entry once:
+//! O(m + nnz(L + U)).
 //!
 //! After a pivot replaces basic column `r` with entering column `a_q`,
 //! the new basis is `B' = B · F` where `F` is the identity except column
@@ -14,136 +30,256 @@
 //! Etas store only the nonzeros of `α`, so a sparse pivot column costs
 //! O(nnz) to record and apply instead of the dense simplex's O(m²)
 //! basis-inverse row update. The eta file is bounded by the caller's
-//! refactorization interval; [`BasisFactor::refactorize`] rebuilds the LU
-//! from scratch and clears it.
+//! refactorization interval; the caller refactorizes by factoring the
+//! current basis afresh and adopting it with [`BasisFactor::from_lu`].
 
 use crate::error::LpError;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Dense LU factors of an `m × m` matrix with partial (row) pivoting:
-/// `P A = L U`, stored packed in one square buffer.
+/// Sparse LU factors of an `m × m` matrix with row and column
+/// permutations, `P B Q = L U`. `L` (unit diagonal) and `U` are indexed
+/// by pivot step and stored as sparse columns of `(step, value)` pairs.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    n: usize,
-    /// Row-major packed `L` (unit diagonal, below) and `U` (on/above).
-    lu: Vec<f64>,
-    /// `perm[i]` = source row of permuted row `i`.
-    perm: Vec<usize>,
+    /// `pivot_row[k]` = the row of `B` pivoted at step `k`.
+    pivot_row: Vec<usize>,
+    /// `pivot_col[k]` = the column of `B` factored at step `k`.
+    pivot_col: Vec<usize>,
+    /// `l_start[k]..l_start[k + 1]` indexes column `k` of `L` below the
+    /// diagonal in `l_entries`.
+    l_start: Vec<usize>,
+    l_entries: Vec<(usize, f64)>,
+    /// `u_start[k]..u_start[k + 1]` indexes column `k` of `U` above the
+    /// diagonal in `u_entries`.
+    u_start: Vec<usize>,
+    u_entries: Vec<(usize, f64)>,
+    /// The diagonal of `U`: the pivots.
+    diag: Vec<f64>,
 }
 
 /// Pivots smaller than this are treated as singular.
 const SINGULAR_TOL: f64 = 1e-12;
+/// A candidate may pivot when its magnitude is at least this fraction of
+/// the column's largest candidate.
+const PIVOT_THRESHOLD: f64 = 0.1;
+/// `step_of` marker for a row no step has pivoted on yet.
+const UNPIVOTED: usize = usize::MAX;
+
+/// The column being factored: a dense accumulator plus the rows it has
+/// touched, and a min-heap of the pivot steps still to apply to it.
+struct ActiveColumn {
+    x: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<usize>,
+    pending: BinaryHeap<Reverse<usize>>,
+}
+
+impl ActiveColumn {
+    fn add(&mut self, row: usize, value: f64, step_of: &[usize]) {
+        if !self.seen[row] {
+            self.seen[row] = true;
+            self.touched.push(row);
+            if step_of[row] != UNPIVOTED {
+                self.pending.push(Reverse(step_of[row]));
+            }
+        }
+        self.x[row] += value;
+    }
+
+    fn clear(&mut self) {
+        for &r in &self.touched {
+            self.x[r] = 0.0;
+            self.seen[r] = false;
+        }
+        self.touched.clear();
+    }
+}
 
 impl LuFactors {
-    /// Factors a dense row-major `n × n` matrix.
+    /// Factors the `m × m` matrix whose columns are given, in order, as
+    /// `(row, value)` lists. Zero values are ignored; a row repeated
+    /// within a column accumulates.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::NumericalFailure`] when the matrix is singular
     /// to working precision.
-    pub fn factor(n: usize, a: &[f64]) -> Result<LuFactors, LpError> {
-        assert_eq!(a.len(), n * n);
-        let mut lu = a.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Partial pivoting: largest magnitude in column k at/below k.
-            let mut best = k;
-            let mut best_abs = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > best_abs {
-                    best = i;
-                    best_abs = v;
+    ///
+    /// # Panics
+    ///
+    /// Panics when `columns` does not yield exactly `m` columns or names
+    /// a row outside `0..m`.
+    pub fn factor<C, E>(m: usize, columns: C) -> Result<LuFactors, LpError>
+    where
+        C: IntoIterator<Item = E>,
+        E: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut b_start = vec![0];
+        let mut b_entries = Vec::new();
+        let mut row_nnz = vec![0usize; m];
+        for column in columns {
+            for (r, v) in column {
+                if v != 0.0 {
+                    row_nnz[r] += 1;
+                    b_entries.push((r, v));
                 }
             }
-            if best_abs <= SINGULAR_TOL {
-                return Err(LpError::NumericalFailure("singular basis matrix"));
-            }
-            if best != k {
-                perm.swap(k, best);
-                for c in 0..n {
-                    lu.swap(k * n + c, best * n + c);
-                }
-            }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
-                if factor != 0.0 {
-                    for c in (k + 1)..n {
-                        lu[i * n + c] -= factor * lu[k * n + c];
-                    }
-                }
-            }
+            b_start.push(b_entries.len());
         }
-        Ok(LuFactors { n, lu, perm })
+        assert_eq!(b_start.len(), m + 1, "expected {m} basis columns");
+        // Sparsest columns first (a stable sort keeps ties in order): the
+        // unit columns pivot before the columns that share their rows, so
+        // those arrive with nothing left to fill.
+        let mut pivot_col: Vec<usize> = (0..m).collect();
+        pivot_col.sort_by_key(|&j| b_start[j + 1] - b_start[j]);
+
+        let mut lu = LuFactors {
+            pivot_row: Vec::with_capacity(m),
+            pivot_col,
+            l_start: vec![0],
+            l_entries: Vec::new(),
+            u_start: vec![0],
+            u_entries: Vec::new(),
+            diag: Vec::with_capacity(m),
+        };
+        let mut step_of = vec![UNPIVOTED; m];
+        let mut col = ActiveColumn {
+            x: vec![0.0; m],
+            seen: vec![false; m],
+            touched: Vec::new(),
+            pending: BinaryHeap::new(),
+        };
+        for k in 0..m {
+            let j = lu.pivot_col[k];
+            for &(r, v) in &b_entries[b_start[j]..b_start[j + 1]] {
+                col.add(r, v, &step_of);
+            }
+            // x ← L⁻¹ x over the steps taken so far; each popped step's
+            // value is final and is column k of U at that step.
+            while let Some(Reverse(s)) = col.pending.pop() {
+                let xs = col.x[lu.pivot_row[s]];
+                if xs == 0.0 {
+                    continue;
+                }
+                lu.u_entries.push((s, xs));
+                for &(i, l) in &lu.l_entries[lu.l_start[s]..lu.l_start[s + 1]] {
+                    col.add(i, -l * xs, &step_of);
+                }
+            }
+
+            let candidates = || {
+                col.touched
+                    .iter()
+                    .copied()
+                    .filter(|&r| step_of[r] == UNPIVOTED)
+            };
+            let max = candidates().map(|r| col.x[r].abs()).fold(0.0, f64::max);
+            let pivot = candidates()
+                .filter(|&r| max > SINGULAR_TOL && col.x[r].abs() >= PIVOT_THRESHOLD * max)
+                .min_by(|&a, &b| {
+                    row_nnz[a]
+                        .cmp(&row_nnz[b])
+                        .then(col.x[b].abs().total_cmp(&col.x[a].abs()))
+                        .then(a.cmp(&b))
+                });
+            let Some(p) = pivot else {
+                return Err(LpError::NumericalFailure("singular basis matrix"));
+            };
+            let d = col.x[p];
+            step_of[p] = k;
+            lu.pivot_row.push(p);
+            lu.diag.push(d);
+            for &r in &col.touched {
+                if step_of[r] == UNPIVOTED && col.x[r] != 0.0 {
+                    lu.l_entries.push((r, col.x[r] / d));
+                }
+            }
+            lu.l_start.push(lu.l_entries.len());
+            lu.u_start.push(lu.u_entries.len());
+            col.clear();
+        }
+        // L was recorded against rows; every row has a step now.
+        for entry in &mut lu.l_entries {
+            entry.0 = step_of[entry.0];
+        }
+        Ok(lu)
     }
 
     /// The identity factorization (empty basis of artificial columns).
     #[must_use]
-    pub fn identity(n: usize) -> LuFactors {
-        let mut lu = vec![0.0; n * n];
-        for i in 0..n {
-            lu[i * n + i] = 1.0;
-        }
+    pub fn identity(m: usize) -> LuFactors {
         LuFactors {
-            n,
-            lu,
-            perm: (0..n).collect(),
+            pivot_row: (0..m).collect(),
+            pivot_col: (0..m).collect(),
+            l_start: vec![0; m + 1],
+            l_entries: Vec::new(),
+            u_start: vec![0; m + 1],
+            u_entries: Vec::new(),
+            diag: vec![1.0; m],
         }
     }
 
-    /// Solves `A x = v` in place.
+    /// Stored nonzeros of `L` and `U`, diagonal included: the basis'
+    /// nonzeros plus fill.
+    #[must_use]
+    pub fn nnz(&self) -> usize {
+        self.l_entries.len() + self.u_entries.len() + self.diag.len()
+    }
+
+    fn l_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.l_entries[self.l_start[k]..self.l_start[k + 1]]
+    }
+
+    fn u_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.u_entries[self.u_start[k]..self.u_start[k + 1]]
+    }
+
+    /// Solves `B x = v` in place: `v` is indexed by row, `x` by column.
     pub fn solve(&self, v: &mut [f64]) {
-        let n = self.n;
-        debug_assert_eq!(v.len(), n);
-        // Apply the row permutation: w = P v.
-        let mut w: Vec<f64> = self.perm.iter().map(|&p| v[p]).collect();
-        // Forward: L y = w (unit diagonal).
-        for i in 1..n {
-            let mut acc = w[i];
-            let row = &self.lu[i * n..i * n + i];
-            for (k, &l) in row.iter().enumerate() {
-                acc -= l * w[k];
+        debug_assert_eq!(v.len(), self.diag.len());
+        let mut w: Vec<f64> = self.pivot_row.iter().map(|&r| v[r]).collect();
+        // Forward: L y = P v.
+        for k in 0..w.len() {
+            let t = w[k];
+            if t != 0.0 {
+                for &(s, l) in self.l_col(k) {
+                    w[s] -= l * t;
+                }
             }
-            w[i] = acc;
         }
-        // Backward: U x = y.
-        for i in (0..n).rev() {
-            let mut acc = w[i];
-            let row = &self.lu[i * n..(i + 1) * n];
-            for (k, &u) in row.iter().enumerate().skip(i + 1) {
-                acc -= u * w[k];
+        // Backward: U z = y, then x = Q z.
+        for k in (0..w.len()).rev() {
+            let t = w[k] / self.diag[k];
+            w[k] = t;
+            if t != 0.0 {
+                for &(s, u) in self.u_col(k) {
+                    w[s] -= u * t;
+                }
             }
-            w[i] = acc / row[i];
         }
-        v.copy_from_slice(&w);
+        for (k, &j) in self.pivot_col.iter().enumerate() {
+            v[j] = w[k];
+        }
     }
 
-    /// Solves `Aᵀ x = v` in place.
+    /// Solves `Bᵀ x = v` in place: `v` is indexed by column, `x` by row.
     pub fn solve_transposed(&self, v: &mut [f64]) {
-        let n = self.n;
-        debug_assert_eq!(v.len(), n);
-        let mut w = v.to_vec();
-        // Forward: Uᵀ y = v (U is upper, so Uᵀ is lower with the
-        // diagonal of U).
-        for i in 0..n {
-            let mut acc = w[i];
-            for k in 0..i {
-                acc -= self.lu[k * n + i] * w[k];
-            }
-            w[i] = acc / self.lu[i * n + i];
+        debug_assert_eq!(v.len(), self.diag.len());
+        let mut w: Vec<f64> = self.pivot_col.iter().map(|&j| v[j]).collect();
+        // Forward: Uᵀ z = Qᵀ v.
+        for k in 0..w.len() {
+            let dot: f64 = self.u_col(k).iter().map(|&(s, u)| u * w[s]).sum();
+            w[k] = (w[k] - dot) / self.diag[k];
         }
-        // Backward: Lᵀ z = y (unit diagonal).
-        for i in (0..n).rev() {
-            let mut acc = w[i];
-            for k in (i + 1)..n {
-                acc -= self.lu[k * n + i] * w[k];
-            }
-            w[i] = acc;
+        // Backward: Lᵀ y = z (unit diagonal).
+        for k in (0..w.len()).rev() {
+            let dot: f64 = self.l_col(k).iter().map(|&(s, l)| l * w[s]).sum();
+            w[k] -= dot;
         }
-        // Undo the permutation: x = Pᵀ z.
-        for (i, &p) in self.perm.iter().enumerate() {
-            v[p] = w[i];
+        // Undo the row permutation: x = Pᵀ y.
+        for (k, &r) in self.pivot_row.iter().enumerate() {
+            v[r] = w[k];
         }
     }
 }
@@ -173,16 +309,12 @@ impl BasisFactor {
     /// The identity basis (all-artificial start).
     #[must_use]
     pub fn identity(m: usize) -> BasisFactor {
-        BasisFactor {
-            lu: LuFactors::identity(m),
-            etas: Vec::new(),
-            eta_nnz: 0,
-        }
+        BasisFactor::from_lu(LuFactors::identity(m))
     }
 
-    /// Adopts an existing LU factorization with an empty eta file. Warm
-    /// starts use this to reuse the acceptance probe's factorization
-    /// instead of factoring the same matrix a second time.
+    /// Adopts a fresh LU factorization with an empty eta file: a warm
+    /// start adopts its acceptance probe's factors, and a scheduled
+    /// refactorization adopts the factors of the current basis.
     #[must_use]
     pub fn from_lu(lu: LuFactors) -> BasisFactor {
         BasisFactor {
@@ -190,19 +322,6 @@ impl BasisFactor {
             etas: Vec::new(),
             eta_nnz: 0,
         }
-    }
-
-    /// Factors the dense row-major `m × m` basis matrix, clearing the eta
-    /// file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LpError::NumericalFailure`] for a singular basis.
-    pub fn refactorize(&mut self, m: usize, basis_dense: &[f64]) -> Result<(), LpError> {
-        self.lu = LuFactors::factor(m, basis_dense)?;
-        self.etas.clear();
-        self.eta_nnz = 0;
-        Ok(())
     }
 
     /// Number of etas accumulated since the last refactorization.
@@ -272,36 +391,104 @@ impl BasisFactor {
 mod tests {
     use super::*;
 
-    fn mul(n: usize, a: &[f64], x: &[f64]) -> Vec<f64> {
-        (0..n)
-            .map(|i| (0..n).map(|j| a[i * n + j] * x[j]).sum())
+    /// `A x` for `A` given as columns of `(row, value)` pairs.
+    fn mul(cols: &[Vec<(usize, f64)>], x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; cols.len()];
+        for (j, col) in cols.iter().enumerate() {
+            for &(i, a) in col {
+                out[i] += a * x[j];
+            }
+        }
+        out
+    }
+
+    /// `Aᵀ y` for `A` given as columns.
+    fn mul_t(cols: &[Vec<(usize, f64)>], y: &[f64]) -> Vec<f64> {
+        cols.iter()
+            .map(|col| col.iter().map(|&(i, a)| a * y[i]).sum())
             .collect()
+    }
+
+    fn factor(cols: &[Vec<(usize, f64)>]) -> Result<LuFactors, LpError> {
+        LuFactors::factor(cols.len(), cols.iter().map(|c| c.iter().copied()))
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], tol: f64) {
+        for (g, w) in got.iter().zip(want) {
+            assert!((g - w).abs() < tol, "{got:?} vs {want:?}");
+        }
     }
 
     #[test]
     fn lu_solves_forward_and_transposed() {
-        let a = [2.0, 1.0, -1.0, -3.0, -1.0, 2.0, -2.0, 1.0, 2.0];
-        let lu = LuFactors::factor(3, &a).unwrap();
+        // Rows (2, 1, -1), (-3, -1, 2), (-2, 1, 2) as columns.
+        let a = vec![
+            vec![(0, 2.0), (1, -3.0), (2, -2.0)],
+            vec![(0, 1.0), (1, -1.0), (2, 1.0)],
+            vec![(0, -1.0), (1, 2.0), (2, 2.0)],
+        ];
+        let lu = factor(&a).unwrap();
         let mut x = [8.0, -11.0, -3.0];
         lu.solve(&mut x);
-        let ax = mul(3, &a, &x);
-        for (got, want) in ax.iter().zip([8.0, -11.0, -3.0]) {
-            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
-        }
-        // Transposed solve against Aᵀ y = b.
+        assert_close(&mul(&a, &x), &[8.0, -11.0, -3.0], 1e-10);
         let mut y = [1.0, 2.0, 3.0];
         lu.solve_transposed(&mut y);
-        let at: Vec<f64> = (0..9).map(|k| a[(k % 3) * 3 + k / 3]).collect();
-        let aty = mul(3, &at, &y);
-        for (got, want) in aty.iter().zip([1.0, 2.0, 3.0]) {
-            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
-        }
+        assert_close(&mul_t(&a, &y), &[1.0, 2.0, 3.0], 1e-10);
     }
 
     #[test]
     fn lu_detects_singularity() {
-        let a = [1.0, 2.0, 2.0, 4.0];
-        assert!(LuFactors::factor(2, &a).is_err());
+        let dependent = vec![vec![(0, 1.0), (1, 2.0)], vec![(0, 2.0), (1, 4.0)]];
+        assert!(factor(&dependent).is_err());
+        let zero_column = vec![vec![(0, 1.0)], vec![]];
+        assert!(factor(&zero_column).is_err());
+    }
+
+    #[test]
+    fn permuted_identity_has_no_fill() {
+        // Unit columns in reverse order plus one 2-nonzero column.
+        let a = vec![
+            vec![(3, 1.0)],
+            vec![(2, 1.0)],
+            vec![(0, 1.0), (1, 2.0)],
+            vec![(0, -1.0)],
+        ];
+        let lu = factor(&a).unwrap();
+        assert_eq!(lu.nnz(), 5, "{lu:?}");
+        let mut x = [1.0, 2.0, 3.0, 4.0];
+        lu.solve(&mut x);
+        assert_close(&mul(&a, &x), &[1.0, 2.0, 3.0, 4.0], 1e-12);
+    }
+
+    /// The cluster-relaxation basis: `n` tasks with one basic fraction
+    /// each — a station fraction (coupling row `n` with a byte-sized
+    /// coefficient, plus the task's one-site row) or a device fraction
+    /// (its device row plus the one-site row) — and the slacks of the
+    /// device rows and the coupling row. It factors with no fill.
+    #[test]
+    fn cluster_basis_factors_without_fill() {
+        let n = 50;
+        let mut a: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|k| {
+                let bytes = 1.0e6 + 5.0e4 * k as f64;
+                if k % 3 == 0 {
+                    vec![(k, bytes), (n + 1 + k, 1.0)]
+                } else {
+                    vec![(n, bytes), (n + 1 + k, 1.0)]
+                }
+            })
+            .collect();
+        a.extend((0..=n).map(|r| vec![(r, 1.0)]));
+        let nnz: usize = a.iter().map(Vec::len).sum();
+        let lu = factor(&a).unwrap();
+        assert_eq!(lu.nnz(), nnz);
+        let v: Vec<f64> = (0..a.len()).map(|i| 1.0 + i as f64).collect();
+        let mut x = v.clone();
+        lu.solve(&mut x);
+        assert_close(&mul(&a, &x), &v, 1e-6);
+        let mut y = v.clone();
+        lu.solve_transposed(&mut y);
+        assert_close(&mul_t(&a, &y), &v, 1e-6);
     }
 
     #[test]
@@ -314,36 +501,32 @@ mod tests {
         assert_eq!(f.eta_count(), 1);
         assert_eq!(f.eta_nnz(), 3);
 
-        let b_new = [1.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0, 1.0];
+        let b_new = vec![
+            vec![(0, 1.0)],
+            vec![(0, 1.0), (1, 2.0), (2, 1.0)],
+            vec![(2, 1.0)],
+        ];
         let v = [3.0, 4.0, 5.0];
         let mut x = v;
         f.ftran(&mut x);
-        let bx = mul(3, &b_new, &x);
-        for (got, want) in bx.iter().zip(v) {
-            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
-
+        assert_close(&mul(&b_new, &x), &v, 1e-12);
         let mut y = v;
         f.btran(&mut y);
-        let bt: Vec<f64> = (0..9).map(|k| b_new[(k % 3) * 3 + k / 3]).collect();
-        let bty = mul(3, &bt, &y);
-        for (got, want) in bty.iter().zip(v) {
-            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
+        assert_close(&mul_t(&b_new, &y), &v, 1e-12);
 
         // A second replacement on top of the first: position 2 with the
         // column whose FTRAN image is alpha2.
-        let a2 = [0.5, 0.0, 2.0];
-        alpha = a2;
+        alpha = [0.5, 0.0, 2.0];
         f.ftran(&mut alpha);
         f.push_eta(2, &alpha);
-        let b2 = [1.0, 1.0, 0.5, 0.0, 2.0, 0.0, 0.0, 1.0, 2.0];
+        let b2 = vec![
+            vec![(0, 1.0)],
+            vec![(0, 1.0), (1, 2.0), (2, 1.0)],
+            vec![(0, 0.5), (2, 2.0)],
+        ];
         let mut x2 = [1.0, -2.0, 0.5];
         f.ftran(&mut x2);
-        let b2x = mul(3, &b2, &x2);
-        for (got, want) in b2x.iter().zip([1.0, -2.0, 0.5]) {
-            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
+        assert_close(&mul(&b2, &x2), &[1.0, -2.0, 0.5], 1e-12);
     }
 
     #[test]
@@ -351,16 +534,12 @@ mod tests {
         let mut f = BasisFactor::identity(2);
         f.push_eta(0, &[2.0, 1.0]);
         assert_eq!(f.eta_count(), 1);
-        let basis = [3.0, 1.0, 1.0, 2.0];
-        f.refactorize(2, &basis).unwrap();
+        let basis = vec![vec![(0, 3.0), (1, 1.0)], vec![(0, 1.0), (1, 2.0)]];
+        f = BasisFactor::from_lu(factor(&basis).unwrap());
         assert_eq!(f.eta_count(), 0);
         assert_eq!(f.eta_nnz(), 0);
         let mut x = [5.0, 5.0];
         f.ftran(&mut x);
-        let bx = mul(2, &basis, &x);
-        for (got, want) in bx.iter().zip([5.0, 5.0]) {
-            assert!((got - want).abs() < 1e-12);
-        }
-        assert!(f.refactorize(2, &[1.0, 1.0, 1.0, 1.0]).is_err());
+        assert_close(&mul(&basis, &x), &[5.0, 5.0], 1e-12);
     }
 }

@@ -5,10 +5,11 @@
 //! solve the same [`LpProblem`]:
 //!
 //! * [`revised::solve_revised`] — sparse revised simplex over a CSC
-//!   matrix ([`sparse::CscMatrix`]) with an LU-factored basis extended by
-//!   a product-form eta file ([`basis::BasisFactor`]); supports warm
-//!   starts from a previous [`Basis`] via [`solve_from`] (the default for
-//!   LP-HTA, whose constraint matrix is extremely sparse);
+//!   matrix ([`sparse::CscMatrix`]) with a sparse-LU-factored basis
+//!   extended by a product-form eta file ([`basis::BasisFactor`]);
+//!   supports warm starts from a previous [`Basis`] via [`solve_from`]
+//!   (the default backend, and LP-HTA's, whose constraint matrix is
+//!   extremely sparse);
 //! * [`simplex::solve_simplex`] — two-phase dense simplex with bounded
 //!   variables (exact vertex solutions; used as the reference oracle);
 //! * [`interior::solve_interior_point`] — Mehrotra predictor–corrector
@@ -63,14 +64,15 @@ pub use revised::{Basis, BasisVarStatus, SolveOutcome};
 /// Which backend to use for a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Solver {
-    /// Mehrotra predictor–corrector interior-point method (default; what
-    /// the paper's Step 1 prescribes).
-    #[default]
+    /// Mehrotra predictor–corrector interior-point method (what the
+    /// paper's Step 1 prescribes).
     InteriorPoint,
     /// Two-phase dense simplex with bounded variables.
     Simplex,
-    /// Sparse revised simplex (LU-factored basis, eta updates, warm
-    /// starts). Falls back to the dense simplex on numerical failure.
+    /// Sparse revised simplex (sparse LU-factored basis, eta updates,
+    /// warm starts); the default. Falls back to the dense simplex on
+    /// numerical failure.
+    #[default]
     Revised,
 }
 
@@ -146,7 +148,7 @@ mod tests {
         assert_eq!(Solver::InteriorPoint.to_string(), "interior-point");
         assert_eq!(Solver::Simplex.to_string(), "simplex");
         assert_eq!(Solver::Revised.to_string(), "revised-simplex");
-        assert_eq!(Solver::default(), Solver::InteriorPoint);
+        assert_eq!(Solver::default(), Solver::Revised);
     }
 
     #[test]

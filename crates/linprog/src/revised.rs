@@ -4,11 +4,14 @@
 //! Dantzig pricing with Bland's anti-cycling fallback, bound flips, and
 //! tolerances — but the substrate is sparse: the constraint matrix lives
 //! in a [`CscMatrix`], and instead of maintaining a dense `m × m` basis
-//! inverse it factors only the basis (LU with partial pivoting) and
-//! extends the factorization between periodic refactorizations with a
-//! product-form eta file ([`crate::basis::BasisFactor`]). Pricing is a
-//! sparse `Aᵀy` product, so an iteration costs O(nnz + m²) instead of the
-//! dense method's O(n·m + m²) with a much larger constant.
+//! inverse it factors only the basis, with a sparse LU that reads the
+//! basis columns straight from the CSC matrix
+//! ([`crate::basis::LuFactors`]), and extends the factorization between
+//! periodic refactorizations with a product-form eta file
+//! ([`crate::basis::BasisFactor`]). Nothing `m × m` is ever allocated.
+//! Pricing is a sparse `Aᵀy` product, so an iteration costs
+//! O(nnz(A) + nnz(L+U) + m) plus the eta file, instead of the dense
+//! method's O(n·m + m²).
 //!
 //! On top of the cold solve, [`solve_revised_from`] accepts a [`Basis`]
 //! from a previous solve of a *similar* problem (same shape, nearby data
@@ -306,17 +309,40 @@ impl RevisedState {
         }
     }
 
+    /// Column `j` in flipped row space as `(row, value)` pairs: a column
+    /// of the real matrix, or the unit column of an artificial.
+    fn flipped_col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (rows, vals) = if j < self.num_real {
+            self.a.col(j)
+        } else {
+            (&[][..], &[][..])
+        };
+        let unit = (j >= self.num_real).then(|| (j - self.num_real, 1.0));
+        rows.iter()
+            .zip(vals)
+            .map(|(&r, &v)| (r, v * self.row_flip[r]))
+            .chain(unit)
+    }
+
     /// Column `j` scattered into a dense buffer in flipped row space.
     fn scatter_flipped(&self, j: usize, out: &mut [f64]) {
         out.fill(0.0);
-        if j < self.num_real {
-            let (rows, vals) = self.a.col(j);
-            for (&r, &v) in rows.iter().zip(vals) {
-                out[r] = v * self.row_flip[r];
-            }
-        } else {
-            out[j - self.num_real] = 1.0;
+        for (r, v) in self.flipped_col(j) {
+            out[r] = v;
         }
+    }
+
+    /// Factors the basis whose positions hold the columns `cols`. Counts
+    /// the factors' nonzeros, and their time while tracing is on.
+    fn factor_basis(&self, cols: &[usize]) -> Result<LuFactors, LpError> {
+        let started = mec_obs::enabled().then(std::time::Instant::now);
+        let lu = LuFactors::factor(self.m, cols.iter().map(|&j| self.flipped_col(j)));
+        if let Some(t) = started {
+            mec_obs::counter_add("linprog/revised/factor_ns", t.elapsed().as_nanos() as u64);
+        }
+        let lu = lu?;
+        mec_obs::counter_add("linprog/revised/lu_nnz", lu.nnz() as u64);
+        Ok(lu)
     }
 
     /// Attempts to adopt `warm` as the starting basis. On success
@@ -356,17 +382,8 @@ impl RevisedState {
             return Ok(false);
         }
 
-        // Factor the candidate basis.
-        let mut dense = vec![0.0; self.m * self.m];
-        let mut col_buf = vec![0.0; self.m];
-        for (k, &j) in basic_cols.iter().enumerate() {
-            self.scatter_flipped(j, &mut col_buf);
-            for i in 0..self.m {
-                dense[i * self.m + k] = col_buf[i];
-            }
-        }
         self.factorizations += 1;
-        let Ok(lu) = LuFactors::factor(self.m, &dense) else {
+        let Ok(lu) = self.factor_basis(&basic_cols) else {
             return Ok(false);
         };
 
@@ -734,15 +751,7 @@ impl RevisedState {
     }
 
     fn refactorize(&mut self) -> Result<(), LpError> {
-        let mut dense = vec![0.0; self.m * self.m];
-        let mut col_buf = vec![0.0; self.m];
-        for (k, &col) in self.basis.iter().enumerate() {
-            self.scatter_flipped(col, &mut col_buf);
-            for i in 0..self.m {
-                dense[i * self.m + k] = col_buf[i];
-            }
-        }
-        self.factor.refactorize(self.m, &dense)?;
+        self.factor = BasisFactor::from_lu(self.factor_basis(&self.basis)?);
         self.factorizations += 1;
         self.refactorizations += 1;
         // Recompute basic values from scratch: x_B = B⁻¹ (b − N x_N).
@@ -750,9 +759,8 @@ impl RevisedState {
         for j in 0..self.n_total {
             if self.state[j] == VarState::AtUpper && self.upper[j] > 0.0 {
                 let u = self.upper[j];
-                self.scatter_flipped(j, &mut col_buf);
-                for i in 0..self.m {
-                    rhs[i] -= col_buf[i] * u;
+                for (r, v) in self.flipped_col(j) {
+                    rhs[r] -= v * u;
                 }
             }
         }
