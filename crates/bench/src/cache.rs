@@ -110,16 +110,7 @@ pub fn clear() {
 /// as `null` rather than failing); the `Result` is kept so callers are
 /// insulated from future key schemes that can reject a configuration.
 pub fn config_key(cfg: &ScenarioConfig) -> Result<u64, AssignError> {
-    Ok(fnv1a(&djson::to_vec(cfg)))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    Ok(detrand::fnv1a(&djson::to_vec(cfg)))
 }
 
 /// The scenario and cost table for `cfg`, generated once per distinct

@@ -98,7 +98,7 @@ impl fmt::Display for AlgorithmName {
 }
 
 /// Parses and applies the shared `--threads N` flag: sets the worker count
-/// for both the sweep engine and the linprog dense kernels, returning the
+/// of the sweep engine (LPs themselves always run serially), returning the
 /// effective count. `0` restores the default resolution (the
 /// `DSMEC_THREADS` environment variable, then the machine's available
 /// parallelism).

@@ -16,9 +16,11 @@
 //!    fixture and the CI scrape check.
 //! 3. [`MetricsServer`] answers `GET /metrics` from a
 //!    `std::net::TcpListener` thread with a hand-rolled request-line
-//!    parser — no HTTP library. The body is a mutex-swapped `Arc<String>`
-//!    the serve loop republishes each epoch; shutdown flips a flag and
-//!    self-connects to unblock the blocking `accept`.
+//!    parser — no HTTP library. A request may take at most 8 KiB and 2 s,
+//!    so no client can hold the single listener thread. The body is a
+//!    mutex-swapped `Arc<String>` the serve loop republishes each epoch;
+//!    shutdown flips a flag and self-connects to unblock the blocking
+//!    `accept`.
 
 use mec_obs::IntervalSnapshot;
 use std::collections::BTreeMap;
@@ -28,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maps a `mec-obs` metric path onto a Prometheus metric name: `dsmec_`
 /// prefix, every non-alphanumeric byte folded to `_`.
@@ -384,27 +386,71 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Reads one request, answers it, closes the connection. The hand-rolled
-/// parser reads the request line (`GET /metrics HTTP/1.1`), drains
-/// headers to the blank line, and ignores everything else.
-fn serve_connection(stream: TcpStream, body: &str) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut reader = BufReader::new(stream);
+/// Cap on the request line plus headers. A scrape request is a few
+/// hundred bytes; anything longer is cut off unanswered.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// Time a client gets to deliver its whole request. The listener serves
+/// one connection at a time, so a per-read timeout alone would let a
+/// client that drips a byte now and then hold it forever.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Bound on each blocking write of the response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Reads from a socket until `deadline`: every read waits at most for the
+/// time left, and reads after the deadline fail with `TimedOut`.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads the request line (`GET /metrics HTTP/1.1`) and drains headers to
+/// the blank line, within [`REQUEST_DEADLINE`] and [`MAX_REQUEST_BYTES`].
+fn read_request_line(stream: &TcpStream) -> std::io::Result<String> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline }.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_ascii_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    // Drain headers so well-behaved clients see a clean close.
     let mut header = String::new();
     loop {
         header.clear();
         let n = reader.read_line(&mut header)?;
+        if n == 0 && reader.get_ref().limit() == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "request exceeds 8 KiB",
+            ));
+        }
         if n == 0 || header.trim().is_empty() {
             break;
         }
     }
-    let mut stream = reader.into_inner();
+    Ok(request_line)
+}
+
+/// Reads one request, answers it, closes the connection. The hand-rolled
+/// parser looks only at the request line's method and path.
+fn serve_connection(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let request_line = read_request_line(&stream)?;
+    let mut parts = request_line.split_ascii_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("");
     if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
         write!(
             stream,
@@ -587,5 +633,65 @@ mod tests {
         server.shutdown();
         // The port is closed (or at least no longer answering /metrics).
         assert!(http_get(&addr, "/metrics", Duration::from_millis(500)).is_err());
+    }
+
+    /// A client that drips one byte every 100 ms without ever finishing
+    /// its request line must not hold the single listener thread: a
+    /// concurrent scrape still succeeds once the request deadline cuts
+    /// the drip off.
+    #[test]
+    fn drip_client_does_not_block_scrapes() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr().to_string();
+        server.publish(render_exposition(&window()));
+
+        let mut drip = TcpStream::connect(&addr).unwrap();
+        drip.write_all(b"G").unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let drip_stop = Arc::clone(&stop);
+        let dripper = std::thread::spawn(move || {
+            for _ in 0..100 {
+                if drip_stop.load(Ordering::SeqCst) || drip.write_all(b"E").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+
+        let scrape = http_get(&addr, "/metrics", Duration::from_secs(5));
+        stop.store(true, Ordering::SeqCst);
+        dripper.join().unwrap();
+        let (status, _) = scrape.expect("scrape must not starve behind a drip client");
+        assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    /// A request whose headers run past the size cap is cut off without
+    /// an answer, and the listener keeps serving.
+    #[test]
+    fn oversized_request_is_cut_off() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr().to_string();
+        server.publish(render_exposition(&window()));
+
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let pad = "a".repeat(2 * MAX_REQUEST_BYTES as usize);
+        let request = format!("GET /metrics HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        // The server may close mid-write; only its answer matters.
+        let _ = stream.write_all(request.as_bytes());
+        let mut raw = String::new();
+        if stream.read_to_string(&mut raw).is_ok() {
+            assert!(
+                !raw.starts_with("HTTP/1.1 200"),
+                "oversized request answered"
+            );
+        }
+
+        let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200);
+        server.shutdown();
     }
 }

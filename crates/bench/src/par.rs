@@ -11,16 +11,17 @@
 //!   of tearing down the process, and aborts remaining work after the
 //!   first failure.
 //!
-//! The worker count is the workspace-wide setting shared with the dense
-//! LP kernels; see [`set_threads`]/[`threads`] (resolution order: explicit
-//! `set_threads`, the `DSMEC_THREADS` environment variable, then the
-//! machine's available parallelism).
+//! This module is the workspace's only parallelism: sweeps fan out over
+//! clusters, seeds and points, and each LP runs serially on the worker
+//! that owns it. The worker count is [`set_threads`]/[`threads`]
+//! (resolution order: explicit `set_threads`, the `DSMEC_THREADS`
+//! environment variable, then the machine's available parallelism).
 
 use dsmec_core::error::AssignError;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Minimum projected *remaining* work (ns) before a map spawns worker
@@ -46,15 +47,35 @@ fn lock_failure<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Sets the worker-thread count for both the sweep engine and the linprog
-/// dense kernels. `0` restores the default resolution.
+/// 0 = "not explicitly configured": fall back to the environment / CPU.
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        if let Ok(v) = std::env::var("DSMEC_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                return n.max(1);
+            }
+        }
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Sets the worker-thread count of the sweep engine. `0` restores the
+/// default resolution.
 pub fn set_threads(n: usize) {
-    linprog::set_threads(n);
+    THREADS.store(n, Ordering::Relaxed);
 }
 
 /// The worker-thread count the sweep engine will use.
 pub fn threads() -> usize {
-    linprog::threads()
+    match THREADS.load(Ordering::Relaxed) {
+        0 => default_threads(),
+        n => n,
+    }
 }
 
 /// Converts a worker panic's message into the caller's error type, so
@@ -444,11 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_setting_round_trips_through_linprog() {
+    fn thread_setting_round_trips() {
         let _guard = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_threads(2);
         assert_eq!(threads(), 2);
-        assert_eq!(linprog::threads(), 2);
         set_threads(0);
         assert!(threads() >= 1);
     }

@@ -26,6 +26,7 @@
 //! everything `dsmec trace` and CI gates need.
 
 use crate::timing::percentile;
+use detrand::{fnv1a_extend, FNV1A_OFFSET};
 use dsmec_core::assignment::Decision;
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
@@ -316,17 +317,6 @@ pub fn render_serve_report(report: &ServeReport) -> String {
     out
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// How one arrived task left the epoch, encoded into the fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Outcome {
@@ -438,7 +428,7 @@ pub fn serve_with_hook(
     let algo = LpHta::paper().without_fast_path();
     let mut warm = WarmBases::new();
     let mut epochs = Vec::with_capacity(stream.batches.len());
-    let mut session_hash = FNV_OFFSET;
+    let mut session_hash = FNV1A_OFFSET;
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(stream.batches.len());
     let mut decision_ns_total: u64 = 0;
 
@@ -568,14 +558,14 @@ pub fn serve_with_hook(
             .count();
         let cancelled = batch.tasks.len() - assigned - churn_cancelled;
 
-        let mut hash = FNV_OFFSET;
+        let mut hash = FNV1A_OFFSET;
         for (task, outcome) in batch.tasks.iter().zip(&outcomes) {
-            hash = fnv(hash, &(task.id.user as u64).to_le_bytes());
-            hash = fnv(hash, &(task.id.index as u64).to_le_bytes());
-            hash = fnv(hash, &[outcome.code()]);
+            hash = fnv1a_extend(hash, &(task.id.user as u64).to_le_bytes());
+            hash = fnv1a_extend(hash, &(task.id.index as u64).to_le_bytes());
+            hash = fnv1a_extend(hash, &[outcome.code()]);
         }
         let fingerprint = format!("{hash:016x}");
-        session_hash = fnv(session_hash, fingerprint.as_bytes());
+        session_hash = fnv1a_extend(session_hash, fingerprint.as_bytes());
 
         let decision_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         decision_ns_total = decision_ns_total.saturating_add(decision_ns);

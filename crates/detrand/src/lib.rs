@@ -16,11 +16,14 @@
 //! * [`prop`] — a seeded property-test harness replacing `proptest` call
 //!   sites: fixed case counts, explicit per-case seeds, and failure
 //!   messages that name the reproducing seed.
+//! * [`fnv1a`] / [`fnv1a_extend`] — the workspace's one 64-bit FNV-1a
+//!   hash (property seeds, cache keys, serve fingerprints).
 //!
 //! The stream is *frozen*: `tests` pin the first outputs for a known
 //! seed, so any accidental change to the core shows up as a test failure
 //! rather than silently shifting every generated scenario.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -329,6 +332,29 @@ impl<T> SliceRandom for [T] {
     }
 }
 
+/// The 64-bit FNV-1a offset basis: the starting state of an
+/// [`fnv1a_extend`] chain.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `hash`, so a hash can be built
+/// from several pieces: `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+#[must_use]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV1A_PRIME);
+    }
+    hash
+}
+
+/// The 64-bit FNV-1a hash of `bytes`.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,5 +532,15 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - expected).abs() / expected < 0.05, "{counts:?}");
         }
+    }
+
+    /// Published FNV-1a 64-bit test vectors, and chaining equals hashing
+    /// the concatenation.
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_chains() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }

@@ -31,26 +31,16 @@
 //!
 //! [`SliceRandom`]: crate::SliceRandom
 
-use crate::ChaCha8Rng;
+use crate::{fnv1a, ChaCha8Rng};
 use std::fmt;
 
 /// A property either holds (`Ok`) or reports why it does not.
 pub type CaseResult = Result<(), String>;
 
-/// FNV-1a, used to fold the property name into the base seed so
-/// different properties explore different input regions by default.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The base seed for a property: `DSMEC_PROP_SEED` when set (same
 /// override for every property), otherwise an FNV-1a fold of the
-/// property name.
+/// property name, so different properties explore different input
+/// regions by default.
 #[must_use]
 pub fn base_seed(name: &str) -> u64 {
     match std::env::var("DSMEC_PROP_SEED") {

@@ -31,6 +31,7 @@
 //! `Scenario.system: devices[3].cpu: expected number, got string`), not
 //! panics — malformed experiment files must fail readably.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

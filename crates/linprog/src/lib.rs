@@ -40,6 +40,7 @@
 // deliberate NaN catches.
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -48,7 +49,6 @@ pub mod error;
 pub mod interior;
 pub mod matrix;
 pub mod mps;
-pub mod par;
 pub mod presolve;
 pub mod problem;
 pub mod revised;
@@ -57,7 +57,6 @@ pub mod sparse;
 pub mod standard;
 
 pub use error::LpError;
-pub use par::{set_threads, threads};
 pub use problem::{Bounds, Constraint, ConstraintSense, LpProblem, LpSolution, LpStatus};
 pub use revised::{Basis, BasisVarStatus, SolveOutcome};
 

@@ -21,9 +21,9 @@
 //! its final basis so callers can chain.
 //!
 //! **Determinism:** given the same problem and the same (or no) warm
-//! basis, the solve is bit-deterministic for any thread count — the only
-//! parallel kernel is the per-column pricing product, which follows the
-//! `par` contract.
+//! basis, the solve is bit-deterministic: it runs on the calling thread,
+//! so callers that solve many LPs in parallel get the same answers at any
+//! thread count.
 
 use crate::basis::{BasisFactor, LuFactors};
 use crate::error::LpError;

@@ -9,13 +9,7 @@
 //! exact semantics of [`crate::standard::StandardForm`] — same slack
 //! signs, same lower-bound shift, same objective offset — without ever
 //! materialising a dense matrix.
-//!
-//! The one parallel kernel here ([`CscMatrix::transpose_mul_vec`], used
-//! for full pricing) follows the `par` determinism contract: work is
-//! split *across* columns, never inside a per-column reduction, so the
-//! result is bit-identical for any thread count.
 
-use crate::par::{self, SharedRows, PAR_MIN_ROWS};
 use crate::problem::{ConstraintSense, LpProblem};
 
 /// A sparse matrix in compressed-sparse-column form.
@@ -117,34 +111,11 @@ impl CscMatrix {
         }
     }
 
-    /// `Aᵀ y`: one sparse dot per column. Columns are chunked across the
-    /// configured worker threads above the [`PAR_MIN_ROWS`] threshold;
-    /// each output element is produced by the same per-column reduction
-    /// regardless of thread count (the `par` determinism contract).
+    /// `Aᵀ y`: one sparse dot per column.
     #[must_use]
     pub fn transpose_mul_vec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.nrows);
-        let mut out = vec![0.0; self.ncols];
-        let workers = par::plan_workers(self.ncols, PAR_MIN_ROWS);
-        if workers <= 1 {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = self.col_dot(j, y);
-            }
-            return out;
-        }
-        let chunk = self.ncols.div_ceil(workers);
-        let shared = SharedRows::new(&mut out, 1);
-        par::run_workers(workers, &|w| {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(self.ncols);
-            for j in start..end {
-                // Disjoint by construction: worker `w` owns exactly
-                // columns `start..end`.
-                let slot = unsafe { shared.row_mut(j) };
-                slot[0] = self.col_dot(j, y);
-            }
-        });
-        out
+        (0..self.ncols).map(|j| self.col_dot(j, y)).collect()
     }
 }
 
@@ -315,25 +286,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn csc_rejects_unsorted_rows() {
         let _ = CscMatrix::from_columns(3, &[vec![(2, 1.0), (0, 1.0)]]);
-    }
-
-    #[test]
-    fn transpose_mul_matches_serial_for_any_worker_count() {
-        let cols: Vec<Vec<(usize, f64)>> = (0..200)
-            .map(|j| {
-                let start = j % 31;
-                (start..(start + 5).min(37))
-                    .map(|r| (r, ((j * r + 1) as f64).sin() + 1.5))
-                    .collect()
-            })
-            .collect();
-        let a = CscMatrix::from_columns(37, &cols);
-        let y: Vec<f64> = (0..37).map(|i| (i as f64).cos()).collect();
-        let serial: Vec<f64> = (0..a.ncols()).map(|j| a.col_dot(j, &y)).collect();
-        par::set_threads(4);
-        let parallel = a.transpose_mul_vec(&y);
-        par::set_threads(0);
-        assert_eq!(serial, parallel, "bit-identical per the par contract");
     }
 
     #[test]

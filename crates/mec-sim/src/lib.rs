@@ -28,6 +28,7 @@
 
 // `!(x > 0.0)`-style guards are deliberate NaN catches in validation.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

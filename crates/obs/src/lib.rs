@@ -76,6 +76,7 @@
 //! `dta/greedy/rounds`). Snapshots sort by name, so related metrics list
 //! together and output is deterministic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
