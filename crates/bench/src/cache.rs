@@ -1,30 +1,23 @@
-//! Cross-figure memoization of the expensive, deterministic artifacts the
-//! experiment sweeps keep recomputing:
-//!
-//! * **Scenario + cost table** — every figure point regenerates the same
-//!   `(ScenarioConfig, seed)` scenario and rebuilds its [`CostTable`] once
-//!   per compared algorithm family; the scenario cache shares one build per
-//!   distinct configuration across all figures of a run.
-//! * **LP relaxation** — the rounding ablation (and any caller of
-//!   [`dsmec_core::hta::LpHta::round_with`]) re-solves the identical
-//!   relaxed LP for every rounding rule; the relaxation cache keys on
-//!   `(config hash, solver, lp_cluster_limit)` so the LP is solved once.
+//! Cross-figure memoization of the expensive, deterministic artifact the
+//! experiment sweeps keep recomputing: the **scenario + cost table**.
+//! Every figure point regenerates the same `(ScenarioConfig, seed)`
+//! scenario and rebuilds its [`CostTable`] once per compared algorithm
+//! family; the scenario cache shares one build per distinct configuration
+//! across all figures of a run.
 //!
 //! Keys are FNV-1a hashes of the *serialized* configuration (the seed is a
 //! config field, so `(config, seed)` pairs hash distinctly). Since scenario
-//! generation and the LP solve are deterministic, a concurrent double-build
-//! of the same key produces identical values — first insert wins and the
-//! duplicate is dropped, so no lock is held while building.
+//! generation is deterministic, a concurrent double-build of the same key
+//! produces identical values — first insert wins and the duplicate is
+//! dropped, so no lock is held while building.
 //!
-//! Everything here is read-shared behind `Arc`, bounded (maps reset past
-//! [`MAX_ENTRIES`]), and resettable via [`clear`] so wall-time comparisons
-//! can run cold; [`stats`] exposes hit/miss counters for
+//! Everything here is read-shared behind `Arc`, bounded (the map resets
+//! past [`MAX_ENTRIES`]), and resettable via [`clear`] so wall-time
+//! comparisons can run cold; [`stats`] exposes hit/miss counters for
 //! `BENCH_parallel.json`.
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
-use dsmec_core::hta::{FractionalSolution, LpHta};
-use linprog::Solver;
 use mec_sim::workload::{Scenario, ScenarioConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +31,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Cap per cache map; on overflow the map is reset wholesale (the working
+/// Cap on cached scenarios; on overflow the map is reset wholesale (the working
 /// set of one `repro` run is far below this, so eviction sophistication
 /// would buy nothing).
 pub const MAX_ENTRIES: usize = 512;
@@ -53,26 +46,18 @@ pub struct CachedScenario {
 }
 
 type ScenarioMap = HashMap<u64, Arc<CachedScenario>>;
-type RelaxationMap = HashMap<(u64, u8, usize), Arc<FractionalSolution>>;
 
 static SCENARIOS: OnceLock<Mutex<ScenarioMap>> = OnceLock::new();
-static RELAXATIONS: OnceLock<Mutex<RelaxationMap>> = OnceLock::new();
 static SCENARIO_HITS: AtomicU64 = AtomicU64::new(0);
 static SCENARIO_MISSES: AtomicU64 = AtomicU64::new(0);
-static LP_HITS: AtomicU64 = AtomicU64::new(0);
-static LP_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Hit/miss counters of both caches, as of the moment of the call.
+/// Hit/miss counters of the scenario cache, as of the moment of the call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Scenario-cache hits.
     pub scenario_hits: u64,
     /// Scenario-cache misses (builds).
     pub scenario_misses: u64,
-    /// LP-relaxation-cache hits.
-    pub lp_hits: u64,
-    /// LP-relaxation-cache misses (solves).
-    pub lp_misses: u64,
 }
 
 /// Current hit/miss counters.
@@ -80,24 +65,17 @@ pub fn stats() -> CacheStats {
     CacheStats {
         scenario_hits: SCENARIO_HITS.load(Ordering::Relaxed),
         scenario_misses: SCENARIO_MISSES.load(Ordering::Relaxed),
-        lp_hits: LP_HITS.load(Ordering::Relaxed),
-        lp_misses: LP_MISSES.load(Ordering::Relaxed),
     }
 }
 
-/// Empties both caches and resets the counters. Call before timed passes
+/// Empties the cache and resets the counters. Call before timed passes
 /// so serial and parallel runs are compared cold-for-cold.
 pub fn clear() {
     if let Some(map) = SCENARIOS.get() {
         lock(map).clear();
     }
-    if let Some(map) = RELAXATIONS.get() {
-        lock(map).clear();
-    }
     SCENARIO_HITS.store(0, Ordering::Relaxed);
     SCENARIO_MISSES.store(0, Ordering::Relaxed);
-    LP_HITS.store(0, Ordering::Relaxed);
-    LP_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// FNV-1a over the serialized configuration. The seed is part of the
@@ -142,58 +120,10 @@ pub fn scenario_with_costs(cfg: &ScenarioConfig) -> Result<Arc<CachedScenario>, 
     Ok(Arc::clone(guard.entry(key).or_insert(built)))
 }
 
-fn solver_tag(solver: Solver) -> u8 {
-    match solver {
-        Solver::InteriorPoint => 0,
-        Solver::Simplex => 1,
-        Solver::Revised => 2,
-    }
-}
-
-/// The LP-relaxation (Steps 1–2) of LP-HTA on `cfg`'s scenario, solved
-/// once per `(config, solver, lp_cluster_limit)` and shared across
-/// rounding rules. `cached` must be the scenario for `cfg` (normally the
-/// value returned by [`scenario_with_costs`]).
-///
-/// # Errors
-///
-/// Propagates LP and substrate errors.
-pub fn lp_relaxation(
-    cfg: &ScenarioConfig,
-    algo: &LpHta,
-    cached: &CachedScenario,
-) -> Result<Arc<FractionalSolution>, AssignError> {
-    let key = (
-        config_key(cfg)?,
-        solver_tag(algo.solver),
-        algo.lp_cluster_limit,
-    );
-    let map = RELAXATIONS.get_or_init(Default::default);
-    if let Some(hit) = lock(map).get(&key) {
-        LP_HITS.fetch_add(1, Ordering::Relaxed);
-        mec_obs::counter_add("cache/lp/hits", 1);
-        return Ok(Arc::clone(hit));
-    }
-    LP_MISSES.fetch_add(1, Ordering::Relaxed);
-    mec_obs::counter_add("cache/lp/misses", 1);
-    let solved = Arc::new(algo.solve_relaxation(
-        &cached.scenario.system,
-        &cached.scenario.tasks,
-        &cached.costs,
-    )?);
-    let mut guard = lock(map);
-    if guard.len() >= MAX_ENTRIES {
-        guard.clear();
-    }
-    Ok(Arc::clone(guard.entry(key).or_insert(solved)))
-}
-
 // JSON codecs (wire-compatible with the former serde derives).
 djson::impl_json_struct!(CacheStats {
     scenario_hits,
     scenario_misses,
-    lp_hits,
-    lp_misses,
 });
 
 #[cfg(test)]
@@ -224,32 +154,5 @@ mod tests {
         // Second lookup returns the same shared value.
         let again = scenario_with_costs(&cfg).unwrap();
         assert!(Arc::ptr_eq(&cached, &again));
-    }
-
-    #[test]
-    fn lp_relaxation_is_shared_across_rounding_rules() {
-        use dsmec_core::hta::RoundingRule;
-        let mut cfg = ScenarioConfig::paper_defaults(4243);
-        cfg.tasks_total = 15;
-        let cached = scenario_with_costs(&cfg).unwrap();
-        let a = LpHta::paper().without_fast_path();
-        let b = LpHta {
-            rounding: RoundingRule::Randomized { seed: 1 },
-            ..a
-        };
-        let fa = lp_relaxation(&cfg, &a, &cached).unwrap();
-        let fb = lp_relaxation(&cfg, &b, &cached).unwrap();
-        assert!(
-            Arc::ptr_eq(&fa, &fb),
-            "rounding rule must not affect the key"
-        );
-        let direct = a
-            .solve_relaxation(
-                &cached.scenario.system,
-                &cached.scenario.tasks,
-                &cached.costs,
-            )
-            .unwrap();
-        assert_eq!(*fa, direct);
     }
 }

@@ -489,8 +489,8 @@ pub fn ablate_lp_backend(opts: &ExperimentOptions) -> FigResult {
 }
 
 /// A2: rounding-rule ablation — arg-max vs randomized rounding. Both
-/// rules round the *same* cached LP relaxation (one solve per point and
-/// seed instead of one per rule).
+/// rules round the *same* LP relaxation (one solve per point and seed
+/// instead of one per rule).
 pub fn ablate_rounding(opts: &ExperimentOptions) -> FigResult {
     let points = if opts.quick {
         vec![40usize]
@@ -502,6 +502,8 @@ pub fn ablate_rounding(opts: &ExperimentOptions) -> FigResult {
         cfg.seed = seed;
         let cached = cache::scenario_with_costs(&cfg)?;
         let (s, costs) = (&cached.scenario, &cached.costs);
+        let base = LpHta::paper().without_fast_path();
+        let frac = base.solve_relaxation(&s.system, &s.tasks, costs)?;
         let mut out = vec![0.0; 2];
         for (k, rounding) in [
             RoundingRule::ArgMax,
@@ -514,9 +516,8 @@ pub fn ablate_rounding(opts: &ExperimentOptions) -> FigResult {
         {
             let algo = LpHta {
                 rounding: *rounding,
-                ..LpHta::paper().without_fast_path()
+                ..base
             };
-            let frac = cache::lp_relaxation(&cfg, &algo, &cached)?;
             let (a, _) = algo.round_with(&s.system, &s.tasks, costs, &frac)?;
             let m = evaluate_assignment(&s.tasks, costs, &a)?;
             out[k] = m.total_energy.value();

@@ -9,9 +9,9 @@
 //! 1. applies device churn from an optional seeded fault plan (dead
 //!    owners cancel at ingest; dead data sources are re-sourced — the
 //!    PR-5 repair rules acting as a steady-state replanner),
-//! 2. shards the instance per base-station cluster (the domain-level
-//!    image of `linprog::presolve::detect_blocks`: clusters only couple
-//!    through the cloud, exactly like blocks through coupling rows),
+//! 2. shards the instance per base-station cluster (clusters only
+//!    couple through the cloud, so each cluster's LP is independent by
+//!    construction),
 //! 3. solves every shard concurrently under the deterministic `par_map`
 //!    contract via [`LpHta::solve_cluster`], each shard warm-started
 //!    from the basis *its own station* produced last epoch,

@@ -522,25 +522,14 @@ impl LpHta {
             let mut objective = 0.0;
             let mut seed = Vec::with_capacity(idxs.len());
             for &i in idxs {
-                let mut row = [0.0; 3];
-                let best = ExecutionSite::ALL
-                    .iter()
-                    .filter(|&&s| costs.feasible(i, s, tasks[i].deadline))
-                    .min_by(|&&a, &&b| {
-                        costs
-                            .at(i, a)
-                            .energy
-                            .value()
-                            .total_cmp(&costs.at(i, b).energy.value())
-                    })
-                    .copied()
+                let task_costs = costs.task(i);
+                let best = task_costs
+                    .cheapest_feasible(tasks[i].deadline)
                     .unwrap_or(ExecutionSite::Cloud);
+                let mut row = [0.0; 3];
                 row[best.index()] = 1.0;
                 seed.push(row);
-                objective += ExecutionSite::ALL
-                    .iter()
-                    .map(|&s| costs.at(i, s).energy.value())
-                    .fold(f64::INFINITY, f64::min);
+                objective += task_costs.min_energy().value();
             }
             return Ok(Some(ClusterSolve {
                 fractions: ClusterFractions {

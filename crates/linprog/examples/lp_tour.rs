@@ -1,5 +1,5 @@
 //! A tour of the LP substrate on its own: model a small problem, solve it
-//! with both backends, inspect duals, round-trip through MPS, presolve.
+//! with the dense simplex and the interior-point method, inspect duals.
 //!
 //! Run with:
 //!
@@ -7,8 +7,6 @@
 //! cargo run -p linprog --example lp_tour
 //! ```
 
-use linprog::mps::{parse_mps, write_mps};
-use linprog::presolve::presolve_and_solve;
 use linprog::{solve, ConstraintSense, LpProblem, Solver};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,18 +37,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // MPS round trip.
-    let text = write_mps(&lp, "PLAN");
-    println!("\nMPS form:\n{text}");
-    let parsed = parse_mps(&text)?;
-    let again = solve(&parsed, Solver::Simplex)?;
-    assert!((again.objective - solve(&lp, Solver::Simplex)?.objective).abs() < 1e-9);
-    println!("MPS round trip preserves the optimum ✓");
-
-    // Presolve shortcuts fixed variables.
-    let mut fixed = lp.clone();
-    fixed.set_bounds(0, 2.0, 2.0)?;
-    let pre = presolve_and_solve(&fixed, Solver::Simplex)?;
-    println!("with x fixed at 2: objective {:.4}", -pre.objective);
     Ok(())
 }

@@ -15,6 +15,7 @@
 use crate::error::LpError;
 use crate::matrix::{dot, norm_inf, Matrix};
 use crate::problem::{LpProblem, LpSolution, LpStatus};
+use crate::sparse::CscMatrix;
 use crate::standard::StandardForm;
 
 /// Tunable parameters of the interior-point solve.
@@ -104,24 +105,23 @@ fn solve_inner(lp: &LpProblem, opts: IpmOptions) -> Result<LpSolution, LpError> 
     }
     mec_obs::counter_add("linprog/interior/presolve/reduced", 1);
 
-    let m = sf.num_rows();
-    let mut a = Matrix::zeros(m, active.len().max(1));
-    let mut c = vec![0.0; active.len().max(1)];
-    let mut upper = vec![f64::INFINITY; active.len().max(1)];
+    let width = active.len().max(1);
+    let mut columns = vec![Vec::new(); width];
+    let mut c = vec![0.0; width];
+    let mut upper = vec![f64::INFINITY; width];
     for (k, &j) in active.iter().enumerate() {
-        for i in 0..m {
-            a[(i, k)] = sf.a[(i, j)];
-        }
+        let (rows, vals) = sf.a.col(j);
+        columns[k] = rows.iter().copied().zip(vals.iter().copied()).collect();
         c[k] = sf.c[j];
         upper[k] = sf.upper[j];
     }
     let reduced = StandardForm {
-        a,
+        a: CscMatrix::from_columns(sf.num_rows(), &columns),
         b: sf.b.clone(),
         c,
         upper,
-        num_structural: active.len().max(1),
-        shift: vec![0.0; active.len().max(1)],
+        num_structural: width,
+        shift: vec![0.0; width],
         objective_offset: 0.0,
     };
     drop(presolve_timer);
@@ -196,7 +196,7 @@ impl Ipm {
 
         Ipm {
             opts,
-            a: sf.a.clone(),
+            a: sf.a.to_dense(),
             b: sf.b.clone(),
             c: sf.c.clone(),
             upper,

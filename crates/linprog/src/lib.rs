@@ -1,8 +1,10 @@
 //! # linprog — a linear-programming substrate
 //!
 //! Self-contained LP solvers backing the LP-HTA task-assignment algorithm
-//! of the Data-Shared MEC reproduction. Three interchangeable backends
-//! solve the same [`LpProblem`]:
+//! of the Data-Shared MEC reproduction: the small relaxed LP of Step 1,
+//! one per base-station cluster. Three interchangeable backends solve the
+//! same [`LpProblem`], each from the one sparse standard form built by
+//! [`standard::StandardForm::from_problem`]:
 //!
 //! * [`revised::solve_revised`] — sparse revised simplex over a CSC
 //!   matrix ([`sparse::CscMatrix`]) with a sparse-LU-factored basis
@@ -48,8 +50,6 @@ pub mod basis;
 pub mod error;
 pub mod interior;
 pub mod matrix;
-pub mod mps;
-pub mod presolve;
 pub mod problem;
 pub mod revised;
 pub mod simplex;

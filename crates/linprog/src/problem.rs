@@ -299,8 +299,8 @@ pub struct LpSolution {
     /// Dual values (shadow prices) per constraint row, when the backend
     /// produced them at optimality: `duals[i] ≈ ∂objective/∂rhs_i`. For a
     /// minimization, a binding `≤` capacity row has a nonpositive dual
-    /// (more capacity cannot increase the optimum). `None` when the
-    /// backend did not derive duals (e.g. after presolve rewrote rows).
+    /// (more capacity cannot increase the optimum). Every backend derives
+    /// them at optimality; `None` for any other status.
     pub duals: Option<Vec<f64>>,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Algorithmically this mirrors [`crate::simplex`] — same two phases,
 //! Dantzig pricing with Bland's anti-cycling fallback, bound flips, and
-//! tolerances — but the substrate is sparse: the constraint matrix lives
-//! in a [`CscMatrix`], and instead of maintaining a dense `m × m` basis
+//! tolerances — but the substrate is sparse: it reads the
+//! [`StandardForm`]'s [`CscMatrix`] directly, and instead of maintaining a dense `m × m` basis
 //! inverse it factors only the basis, with a sparse LU that reads the
 //! basis columns straight from the CSC matrix
 //! ([`crate::basis::LuFactors`]), and extends the factorization between
@@ -16,9 +16,10 @@
 //! On top of the cold solve, [`solve_revised_from`] accepts a [`Basis`]
 //! from a previous solve of a *similar* problem (same shape, nearby data
 //! — e.g. the previous point of a bench sweep). When the warm basis is
-//! still nonsingular and primal feasible, phase 1 is skipped entirely;
-//! otherwise the solver falls back to a cold start. Every solve returns
-//! its final basis so callers can chain.
+//! still nonsingular and primal feasible, phase 1 is skipped entirely and
+//! the probe's fresh LU is adopted, so the refactorization countdown
+//! starts at zero; otherwise the solver falls back to a cold start. Every
+//! solve returns its final basis so callers can chain.
 //!
 //! **Determinism:** given the same problem and the same (or no) warm
 //! basis, the solve is bit-deterministic: it runs on the calling thread,
@@ -28,7 +29,8 @@
 use crate::basis::{BasisFactor, LuFactors};
 use crate::error::LpError;
 use crate::problem::{LpProblem, LpSolution, LpStatus};
-use crate::sparse::{CscMatrix, SparseStandardForm};
+use crate::sparse::CscMatrix;
+use crate::standard::StandardForm;
 
 const PIVOT_TOL: f64 = 1e-9;
 const COST_TOL: f64 = 1e-7;
@@ -60,11 +62,6 @@ pub struct Basis {
     /// Standard-form columns (structural + slacks).
     pub num_cols: usize,
     statuses: Vec<BasisVarStatus>,
-    /// Pivots accumulated since the chain's last scheduled
-    /// refactorization, carried across warm solves so a long chain
-    /// refactorizes on the *cumulative* count (see
-    /// [`RevisedState::try_warm_start`]).
-    carried_pivots: usize,
 }
 
 impl Basis {
@@ -72,16 +69,6 @@ impl Basis {
     #[must_use]
     pub fn statuses(&self) -> &[BasisVarStatus] {
         &self.statuses
-    }
-
-    /// Pivots this chain has accumulated since its last scheduled
-    /// refactorization. A warm solve adopting this basis starts its
-    /// refactorization countdown here instead of at zero, so chained
-    /// sweeps that warm-start hundreds of points still refactorize every
-    /// `REFACTOR_EVERY` *cumulative* pivots.
-    #[must_use]
-    pub fn carried_pivots(&self) -> usize {
-        self.carried_pivots
     }
 }
 
@@ -127,15 +114,7 @@ pub fn solve_revised(lp: &LpProblem) -> Result<LpSolution, LpError> {
 pub fn solve_revised_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveOutcome, LpError> {
     let _timer = mec_obs::span("linprog/revised/solve");
     let started = std::time::Instant::now();
-    if mec_obs::enabled() {
-        let blocks = crate::presolve::detect_blocks(lp, 3);
-        mec_obs::counter_add("linprog/presolve/blocks", blocks.blocks.len() as u64);
-        mec_obs::counter_add(
-            "linprog/presolve/coupling_rows",
-            blocks.coupling_rows.len() as u64,
-        );
-    }
-    let sf = SparseStandardForm::from_problem(lp);
+    let sf = StandardForm::from_problem(lp);
     let mut state = RevisedState::new(&sf);
     let mut warm_used = false;
     let mut warm_rejection = None;
@@ -238,7 +217,7 @@ struct RevisedState {
 }
 
 impl RevisedState {
-    fn new(sf: &SparseStandardForm) -> RevisedState {
+    fn new(sf: &StandardForm) -> RevisedState {
         let m = sf.num_rows();
         let num_real = sf.num_cols();
         let n_total = num_real + m;
@@ -440,17 +419,10 @@ impl RevisedState {
         // the same matrix a second time (this also removes the only
         // non-test `expect` this path used to carry).
         self.factor = BasisFactor::from_lu(lu);
-        // Refactorization debt carries across the chain: `REFACTOR_EVERY`
-        // used to be a per-solve counter, so a chained sweep warm-starting
-        // hundreds of points never refactorized between solves. Starting
-        // the countdown at the chain's cumulative pivot count forces a
-        // scheduled refactorization as soon as the *cumulative* file
-        // crosses the threshold.
-        self.pivots_since_refactor = warm.carried_pivots;
         Ok(true)
     }
 
-    fn run(&mut self, sf: &SparseStandardForm, skip_phase1: bool) -> Result<LpSolution, LpError> {
+    fn run(&mut self, sf: &StandardForm, skip_phase1: bool) -> Result<LpSolution, LpError> {
         let limit = 200 * (self.m + self.n_total).max(100);
 
         if !skip_phase1 {
@@ -770,7 +742,7 @@ impl RevisedState {
         Ok(())
     }
 
-    fn solution(&self, sf: &SparseStandardForm, status: LpStatus) -> LpSolution {
+    fn solution(&self, sf: &StandardForm, status: LpStatus) -> LpSolution {
         // Duals: y = B⁻ᵀ c_B in the flipped row space; undo the flips so
         // duals refer to the user's right-hand sides.
         let duals = if status == LpStatus::Optimal {
@@ -821,7 +793,6 @@ impl RevisedState {
             num_rows: self.m,
             num_cols: self.num_real,
             statuses,
-            carried_pivots: self.pivots_since_refactor,
         })
     }
 }
@@ -1082,65 +1053,6 @@ mod tests {
             out.warm_rejection
         );
         assert_optimal(&out.solution, -7.0, 1e-8);
-    }
-
-    /// Refactorization debt carries across warm solves: no single solve
-    /// in this chain comes near `REFACTOR_EVERY` pivots, but the chain's
-    /// cumulative count must still trigger scheduled refactorizations
-    /// (observable both on `Basis::carried_pivots` and the
-    /// `linprog/revised/refactorizations` counter).
-    #[test]
-    fn warm_chains_refactorize_on_cumulative_pivots() {
-        let _o = mec_obs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        mec_obs::reset();
-        mec_obs::set_enabled(true);
-
-        // Alternating objectives move the optimum between (1,3) and
-        // (3,1), so every warm solve pivots at least once.
-        let make = |flip: bool| {
-            let mut lp = triangle_lp();
-            if flip {
-                lp.set_objective(vec![-2.0, -1.0]).unwrap();
-            }
-            lp
-        };
-        let mut basis = solve_revised_from(&make(false), None)
-            .unwrap()
-            .basis
-            .unwrap();
-        let mut max_debt = basis.carried_pivots();
-        let mut debt_dropped = false;
-        for k in 0..(2 * REFACTOR_EVERY + 8) {
-            let out = solve_revised_from(&make(k % 2 == 0), Some(&basis)).unwrap();
-            assert!(out.warm_used, "chain went cold at solve {k}");
-            let next = out.basis.unwrap();
-            if next.carried_pivots() < basis.carried_pivots() {
-                debt_dropped = true;
-            }
-            max_debt = max_debt.max(next.carried_pivots());
-            basis = next;
-        }
-        let snap = mec_obs::snapshot();
-        mec_obs::set_enabled(false);
-        mec_obs::reset();
-
-        assert!(
-            max_debt >= REFACTOR_EVERY / 2,
-            "debt never accumulated across the chain (max {max_debt})"
-        );
-        assert!(
-            debt_dropped,
-            "cumulative debt never triggered a refactorization"
-        );
-        let refactors = snap
-            .counter("linprog/revised/refactorizations")
-            .unwrap_or(0);
-        assert!(
-            refactors > 0,
-            "chain must refactorize at least once: {refactors}"
-        );
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl SimplexState {
         let num_real = sf.num_cols();
         let n_total = num_real + m;
 
+        let dense = sf.a.to_dense();
         let mut a = Matrix::zeros(m, n_total);
         let mut b = sf.b.clone();
         let mut row_flip = vec![1.0; m];
@@ -109,7 +110,7 @@ impl SimplexState {
             row_flip[i] = flip;
             b[i] *= flip;
             for j in 0..num_real {
-                a[(i, j)] = flip * sf.a[(i, j)];
+                a[(i, j)] = flip * dense[(i, j)];
             }
             a[(i, num_real + i)] = 1.0;
         }

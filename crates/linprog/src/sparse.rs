@@ -1,16 +1,14 @@
-//! Compressed sparse column (CSC) matrices and the sparse standard form
-//! consumed by the revised simplex backend in [`crate::revised`].
+//! Compressed sparse column (CSC) matrices: the storage of the
+//! standard-form constraint matrix ([`crate::standard::StandardForm`]).
 //!
 //! The HTA relaxation matrix is extremely sparse — every variable appears
-//! in one assignment row and at most one capacity row — so the dense
-//! `Matrix` in [`crate::standard`] wastes both memory (`m × n` zeros) and
-//! time (dense column gathers during pricing). [`CscMatrix`] stores only
-//! the nonzeros, column-major, and [`SparseStandardForm`] mirrors the
-//! exact semantics of [`crate::standard::StandardForm`] — same slack
-//! signs, same lower-bound shift, same objective offset — without ever
-//! materialising a dense matrix.
+//! in one assignment row and at most one capacity row — so a dense
+//! `m × n` matrix wastes both memory (zeros) and time (dense column
+//! gathers during pricing). [`CscMatrix`] stores only the nonzeros,
+//! column-major; the revised simplex reads it directly, and the dense
+//! backends materialise it once with [`CscMatrix::to_dense`].
 
-use crate::problem::{ConstraintSense, LpProblem};
+use crate::matrix::Matrix;
 
 /// A sparse matrix in compressed-sparse-column form.
 ///
@@ -111,6 +109,23 @@ impl CscMatrix {
         }
     }
 
+    /// The same matrix stored densely (unstored entries are `+0.0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix has no rows or no columns.
+    #[must_use]
+    pub fn to_dense(&self) -> Matrix {
+        let mut dense = Matrix::zeros(self.nrows, self.ncols);
+        for j in 0..self.ncols {
+            let (rows, vals) = self.col(j);
+            for (&r, &v) in rows.iter().zip(vals) {
+                dense[(r, j)] = v;
+            }
+        }
+        dense
+    }
+
     /// `Aᵀ y`: one sparse dot per column.
     #[must_use]
     pub fn transpose_mul_vec(&self, y: &[f64]) -> Vec<f64> {
@@ -119,150 +134,9 @@ impl CscMatrix {
     }
 }
 
-/// The standard form `min cᵀx, Ax = b, 0 ≤ x ≤ u` built sparsely from an
-/// [`LpProblem`], semantically identical to
-/// [`crate::standard::StandardForm`]: variables are shifted by their lower
-/// bounds, `≤` rows gain a `+1` slack, `≥` rows a `−1` slack, equalities
-/// none.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseStandardForm {
-    /// Constraint matrix over structural + slack columns.
-    pub a: CscMatrix,
-    /// Right-hand side, adjusted for the lower-bound shift.
-    pub b: Vec<f64>,
-    /// Objective over all columns (zero for slacks).
-    pub c: Vec<f64>,
-    /// Upper bounds in shifted space (`+∞` preserved; slacks unbounded).
-    pub upper: Vec<f64>,
-    /// Number of structural (original) variables.
-    pub num_structural: usize,
-    /// The shift applied per structural variable (its lower bound).
-    pub shift: Vec<f64>,
-    /// `c · shift`: added back by [`Self::original_objective`].
-    pub objective_offset: f64,
-}
-
-impl SparseStandardForm {
-    /// Converts a problem to sparse standard form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem has no constraints (callers run presolve or
-    /// add a vacuous row first, matching the dense path).
-    #[must_use]
-    pub fn from_problem(lp: &LpProblem) -> SparseStandardForm {
-        let m = lp.num_constraints();
-        assert!(m > 0, "standard form needs at least one constraint row");
-        let n = lp.num_vars();
-        let shift: Vec<f64> = lp.bounds().iter().map(|bd| bd.lower).collect();
-        let num_slacks = lp
-            .constraints()
-            .iter()
-            .filter(|c| c.sense != ConstraintSense::Eq)
-            .count();
-        let total = n + num_slacks;
-
-        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); total];
-        let mut b = Vec::with_capacity(m);
-        let mut slack = n;
-        for (i, row) in lp.constraints().iter().enumerate() {
-            let mut rhs = row.rhs;
-            // Terms may arrive in any column order; per-column row lists
-            // stay sorted because `i` only ever increases.
-            for &(j, aij) in &row.terms {
-                columns[j].push((i, aij));
-                rhs -= aij * shift[j];
-            }
-            b.push(rhs);
-            match row.sense {
-                ConstraintSense::Le => {
-                    columns[slack].push((i, 1.0));
-                    slack += 1;
-                }
-                ConstraintSense::Ge => {
-                    columns[slack].push((i, -1.0));
-                    slack += 1;
-                }
-                ConstraintSense::Eq => {}
-            }
-        }
-
-        let mut c = vec![0.0; total];
-        c[..n].copy_from_slice(lp.objective());
-        let mut upper = vec![f64::INFINITY; total];
-        for (j, bd) in lp.bounds().iter().enumerate() {
-            upper[j] = if bd.upper.is_finite() {
-                bd.upper - bd.lower
-            } else {
-                f64::INFINITY
-            };
-        }
-        let objective_offset = crate::matrix::dot(lp.objective(), &shift);
-
-        SparseStandardForm {
-            a: CscMatrix::from_columns(m, &columns),
-            b,
-            c,
-            upper,
-            num_structural: n,
-            shift,
-            objective_offset,
-        }
-    }
-
-    /// Number of constraint rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.a.nrows()
-    }
-
-    /// Number of columns (structural + slacks).
-    #[must_use]
-    pub fn num_cols(&self) -> usize {
-        self.a.ncols()
-    }
-
-    /// Maps a standard-form point back to the original variable space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_std` has fewer than `num_structural` entries.
-    #[must_use]
-    pub fn recover(&self, x_std: &[f64]) -> Vec<f64> {
-        (0..self.num_structural)
-            .map(|j| x_std[j] + self.shift[j])
-            .collect()
-    }
-
-    /// The original objective value at a standard-form point.
-    #[must_use]
-    pub fn original_objective(&self, x_std: &[f64]) -> f64 {
-        let direct: f64 = (0..self.num_structural).map(|j| self.c[j] * x_std[j]).sum();
-        direct + self.objective_offset
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::standard::StandardForm;
-
-    fn sample_lp() -> LpProblem {
-        // min x − 2y + z, x + y ≤ 4, y − z ≥ −1, x + z = 2,
-        // 1 ≤ x ≤ 3, 0 ≤ y ≤ 2, z free above 0.5.
-        let mut lp = LpProblem::new(3);
-        lp.set_objective(vec![1.0, -2.0, 1.0]).unwrap();
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Le, 4.0)
-            .unwrap();
-        lp.add_constraint(vec![(1, 1.0), (2, -1.0)], ConstraintSense::Ge, -1.0)
-            .unwrap();
-        lp.add_constraint(vec![(0, 1.0), (2, 1.0)], ConstraintSense::Eq, 2.0)
-            .unwrap();
-        lp.set_bounds(0, 1.0, 3.0).unwrap();
-        lp.set_bounds(1, 0.0, 2.0).unwrap();
-        lp.set_bounds(2, 0.5, f64::INFINITY).unwrap();
-        lp
-    }
 
     #[test]
     fn csc_round_trips_columns() {
@@ -280,45 +154,19 @@ mod tests {
         let mut dense = vec![0.0; 3];
         a.scatter_col(0, &mut dense);
         assert_eq!(dense, vec![1.0, 0.0, -3.0]);
+        let full = a.to_dense();
+        for j in 0..3 {
+            let mut col = vec![0.0; 3];
+            a.scatter_col(j, &mut col);
+            for i in 0..3 {
+                assert_eq!(full[(i, j)].to_bits(), col[i].to_bits(), "entry ({i}, {j})");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn csc_rejects_unsorted_rows() {
         let _ = CscMatrix::from_columns(3, &[vec![(2, 1.0), (0, 1.0)]]);
-    }
-
-    #[test]
-    fn sparse_standard_form_matches_dense() {
-        let lp = sample_lp();
-        let dense = StandardForm::from_problem(&lp);
-        let sparse = SparseStandardForm::from_problem(&lp);
-        assert_eq!(sparse.num_rows(), dense.num_rows());
-        assert_eq!(sparse.num_cols(), dense.num_cols());
-        assert_eq!(sparse.num_structural, dense.num_structural);
-        assert_eq!(sparse.b, dense.b);
-        assert_eq!(sparse.c, dense.c);
-        assert_eq!(sparse.upper, dense.upper);
-        assert_eq!(sparse.shift, dense.shift);
-        assert_eq!(sparse.objective_offset, dense.objective_offset);
-        for j in 0..sparse.num_cols() {
-            let mut col = vec![0.0; sparse.num_rows()];
-            sparse.a.scatter_col(j, &mut col);
-            for i in 0..sparse.num_rows() {
-                assert_eq!(col[i], dense.a[(i, j)], "entry ({i}, {j})");
-            }
-        }
-        let x_std = vec![0.5; sparse.num_cols()];
-        assert_eq!(sparse.recover(&x_std), dense.recover(&x_std));
-        assert!(
-            (sparse.original_objective(&x_std) - dense.original_objective(&x_std)).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one constraint")]
-    fn sparse_standard_form_rejects_empty() {
-        let lp = LpProblem::new(1);
-        let _ = SparseStandardForm::from_problem(&lp);
     }
 }

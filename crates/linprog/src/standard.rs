@@ -1,5 +1,5 @@
 //! Conversion of an [`LpProblem`] into the *standard
-//! computational form* shared by both solver backends:
+//! computational form* shared by all three solver backends:
 //!
 //! ```text
 //! minimize    cᵀ x
@@ -7,32 +7,35 @@
 //!             0 ≤ xⱼ ≤ uⱼ        (uⱼ may be +∞)
 //! ```
 //!
-//! Lower bounds are shifted away, `≤`/`≥` rows receive slack/surplus
-//! columns, and the objective offset caused by the shift is remembered so
-//! solutions can be mapped back to the user's variables.
+//! Lower bounds are shifted away, `≤` rows receive a `+1` slack column,
+//! `≥` rows a `−1` surplus column, equalities none, and the objective
+//! offset caused by the shift is remembered so solutions can be mapped
+//! back to the user's variables. `A` is stored sparsely ([`CscMatrix`]):
+//! the revised simplex reads its columns directly, and the two dense
+//! backends densify it once with [`CscMatrix::to_dense`].
 
-use crate::matrix::Matrix;
 use crate::problem::{ConstraintSense, LpProblem};
+use crate::sparse::CscMatrix;
 
 /// A linear program in standard computational form, plus the bookkeeping
 /// needed to translate solutions back to the original problem.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardForm {
-    /// Dense constraint matrix, `m × n_total`.
-    pub a: Matrix,
-    /// Right-hand side, length `m`.
+    /// Constraint matrix over structural + slack columns, `m × n_total`.
+    pub a: CscMatrix,
+    /// Right-hand side, adjusted for the lower-bound shift, length `m`.
     pub b: Vec<f64>,
-    /// Objective over all columns (structural + slack), length `n_total`.
+    /// Objective over all columns (zero for slacks), length `n_total`.
     pub c: Vec<f64>,
-    /// Upper bounds per column (lower bounds are all zero).
+    /// Upper bounds per column in shifted space (lower bounds are all
+    /// zero; `+∞` preserved; slacks unbounded).
     pub upper: Vec<f64>,
     /// Number of structural (user) variables; they occupy the first
     /// `num_structural` columns.
     pub num_structural: usize,
     /// Shift applied to each structural variable (its original lower bound).
     pub shift: Vec<f64>,
-    /// Constant added to the standard-form objective to recover the
-    /// original objective value.
+    /// `c · shift`: added back by [`Self::original_objective`].
     pub objective_offset: f64,
 }
 
@@ -42,60 +45,59 @@ impl StandardForm {
     /// # Panics
     ///
     /// Panics if the problem has no constraints (the solvers need at least
-    /// one row; add a redundant one if necessary).
+    /// one row; add a vacuous one if necessary).
+    #[must_use]
     pub fn from_problem(lp: &LpProblem) -> StandardForm {
-        let n = lp.num_vars();
         let m = lp.num_constraints();
-        assert!(m > 0, "standard form requires at least one constraint row");
-
+        assert!(m > 0, "standard form needs at least one constraint row");
+        let n = lp.num_vars();
+        let shift: Vec<f64> = lp.bounds().iter().map(|bd| bd.lower).collect();
         let num_slacks = lp
             .constraints()
             .iter()
             .filter(|c| c.sense != ConstraintSense::Eq)
             .count();
-        let n_total = n + num_slacks;
+        let total = n + num_slacks;
 
-        let mut a = Matrix::zeros(m, n_total);
-        let mut b = vec![0.0; m];
-        let mut c = vec![0.0; n_total];
-        let mut upper = vec![f64::INFINITY; n_total];
-        let mut shift = vec![0.0; n];
+        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); total];
+        let mut b = Vec::with_capacity(m);
+        let mut slack = n;
+        for (i, row) in lp.constraints().iter().enumerate() {
+            let mut rhs = row.rhs;
+            // Terms may arrive in any column order; per-column row lists
+            // stay sorted because `i` only ever increases.
+            for &(j, aij) in &row.terms {
+                columns[j].push((i, aij));
+                rhs -= aij * shift[j];
+            }
+            b.push(rhs);
+            match row.sense {
+                ConstraintSense::Le => {
+                    columns[slack].push((i, 1.0));
+                    slack += 1;
+                }
+                ConstraintSense::Ge => {
+                    columns[slack].push((i, -1.0));
+                    slack += 1;
+                }
+                ConstraintSense::Eq => {}
+            }
+        }
 
-        for (j, bound) in lp.bounds().iter().enumerate() {
-            shift[j] = bound.lower;
-            upper[j] = if bound.upper.is_finite() {
-                bound.upper - bound.lower
+        let mut c = vec![0.0; total];
+        c[..n].copy_from_slice(lp.objective());
+        let mut upper = vec![f64::INFINITY; total];
+        for (j, bd) in lp.bounds().iter().enumerate() {
+            upper[j] = if bd.upper.is_finite() {
+                bd.upper - bd.lower
             } else {
                 f64::INFINITY
             };
         }
-
-        c[..n].copy_from_slice(lp.objective());
         let objective_offset = crate::matrix::dot(lp.objective(), &shift);
 
-        let mut slack_col = n;
-        for (i, row) in lp.constraints().iter().enumerate() {
-            let mut rhs = row.rhs;
-            for &(j, coeff) in &row.terms {
-                a[(i, j)] = coeff;
-                rhs -= coeff * shift[j];
-            }
-            match row.sense {
-                ConstraintSense::Le => {
-                    a[(i, slack_col)] = 1.0;
-                    slack_col += 1;
-                }
-                ConstraintSense::Ge => {
-                    a[(i, slack_col)] = -1.0;
-                    slack_col += 1;
-                }
-                ConstraintSense::Eq => {}
-            }
-            b[i] = rhs;
-        }
-
         StandardForm {
-            a,
+            a: CscMatrix::from_columns(m, &columns),
             b,
             c,
             upper,
@@ -106,16 +108,23 @@ impl StandardForm {
     }
 
     /// Number of rows.
+    #[must_use]
     pub fn num_rows(&self) -> usize {
         self.a.nrows()
     }
 
     /// Total number of columns (structural + slack).
+    #[must_use]
     pub fn num_cols(&self) -> usize {
         self.a.ncols()
     }
 
     /// Maps a standard-form point back to the original variable space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x_std` has fewer than `num_structural` entries.
+    #[must_use]
     pub fn recover(&self, x_std: &[f64]) -> Vec<f64> {
         (0..self.num_structural)
             .map(|j| x_std[j] + self.shift[j])
@@ -123,8 +132,10 @@ impl StandardForm {
     }
 
     /// Objective value in the *original* problem for a standard-form point.
+    #[must_use]
     pub fn original_objective(&self, x_std: &[f64]) -> f64 {
-        crate::matrix::dot(&self.c, x_std) + self.objective_offset
+        let direct: f64 = (0..self.num_structural).map(|j| self.c[j] * x_std[j]).sum();
+        direct + self.objective_offset
     }
 }
 
@@ -153,8 +164,9 @@ mod tests {
         assert_eq!(sf.num_cols(), 3);
         assert_eq!(sf.num_structural, 2);
         // Surplus column has coefficient -1 in row 0, 0 in row 1.
-        assert_eq!(sf.a[(0, 2)], -1.0);
-        assert_eq!(sf.a[(1, 2)], 0.0);
+        let dense = sf.a.to_dense();
+        assert_eq!(dense[(0, 2)], -1.0);
+        assert_eq!(dense[(1, 2)], 0.0);
     }
 
     #[test]
@@ -176,5 +188,12 @@ mod tests {
         let x = sf.recover(&x_std);
         assert_eq!(x, vec![2.5, 0.0]);
         assert!((sf.original_objective(&x_std) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one constraint")]
+    fn standard_form_rejects_empty() {
+        let lp = LpProblem::new(1);
+        let _ = StandardForm::from_problem(&lp);
     }
 }

@@ -1,18 +1,18 @@
-//! Differential coverage for the sparse revised simplex: on MPS fixtures,
-//! degenerate presolve cases, and randomized instances, the revised
-//! backend must agree with the dense simplex oracle and the interior-point
-//! method on status, objective, and feasibility — and warm starts must
-//! never change the answer.
+//! Differential coverage for the sparse revised simplex: on a reference
+//! problem, degenerate cases (fixed variables, singleton and duplicated
+//! rows, a vacuous row), and randomized instances, the revised backend
+//! must agree with the dense simplex oracle and the interior-point method
+//! on status, objective, and feasibility — and warm starts must never
+//! change the answer.
 
 use detrand::prop::run_cases;
 use detrand::{prop_assert, prop_assert_eq, ChaCha8Rng};
-use linprog::mps::{parse_mps, write_mps};
-use linprog::presolve::presolve_and_solve;
 use linprog::revised::solve_revised_from;
 use linprog::{solve, solve_from, ConstraintSense, LpProblem, LpStatus, Solver};
 
-/// The MPS reference problem from the `mps_presolve` suite: every row
-/// sense and bound type the dialect supports.
+/// A 2-variable reference problem with every row sense and both finite
+/// and shifted bounds: min x0 + 2 x1 s.t. x0 + x1 ≥ 1, x0 − x1 ≤ 2,
+/// x0 + 2 x1 = 2, 0 ≤ x0 ≤ 3, 0 ≤ x1 ≤ 5.
 fn reference_problem() -> LpProblem {
     let mut lp = LpProblem::new(2);
     lp.set_objective(vec![1.0, 2.0]).unwrap();
@@ -63,21 +63,6 @@ fn assert_backends_agree(lp: &LpProblem, label: &str) {
 fn revised_matches_oracles_on_mps_fixtures() {
     let lp = reference_problem();
     assert_backends_agree(&lp, "reference problem");
-
-    // Round-trip through the MPS writer/parser and re-check: the revised
-    // backend must be insensitive to the serialization detour.
-    let text = write_mps(&lp, "REF");
-    let back = parse_mps(&text).unwrap();
-    assert_backends_agree(&back, "reference problem after MPS round trip");
-
-    let direct = solve(&lp, Solver::Revised).unwrap();
-    let round_tripped = solve(&back, Solver::Revised).unwrap();
-    assert!(
-        (direct.objective - round_tripped.objective).abs() < 1e-8 * (1.0 + direct.objective.abs()),
-        "MPS round trip moved the revised objective: {} vs {}",
-        direct.objective,
-        round_tripped.objective
-    );
 }
 
 #[test]
@@ -92,9 +77,9 @@ fn revised_handles_degenerate_presolve_cases() {
     fixed.set_bounds(0, 1.0, 1.0).unwrap();
     fixed.set_bounds(1, 2.0, 2.0).unwrap();
     assert_backends_agree(&fixed, "fully fixed variables");
-    let via_presolve = presolve_and_solve(&fixed, Solver::Revised).unwrap();
-    assert_eq!(via_presolve.status, LpStatus::Optimal);
-    assert!((via_presolve.objective - 11.0).abs() < 1e-9);
+    let revised = solve(&fixed, Solver::Revised).unwrap();
+    assert_eq!(revised.status, LpStatus::Optimal);
+    assert!((revised.objective - 11.0).abs() < 1e-9);
 
     // Conflicting singleton rows: infeasible, and every backend says so.
     let mut squeezed = LpProblem::new(1);
@@ -122,14 +107,15 @@ fn revised_handles_degenerate_presolve_cases() {
         .unwrap();
     assert_backends_agree(&degenerate, "duplicated degenerate rows");
 
-    // The vacuous row presolve emits for row-free reductions.
+    // A vacuous row (zero coefficient): the only row a problem with no
+    // real constraints can carry into the standard form.
     let mut vacuous = LpProblem::new(1);
     vacuous.set_objective(vec![1.0]).unwrap();
     vacuous
         .add_constraint(vec![(0, 0.0)], ConstraintSense::Le, 1.0)
         .unwrap();
     vacuous.set_bounds(0, 0.5, 2.0).unwrap();
-    assert_backends_agree(&vacuous, "vacuous presolve row");
+    assert_backends_agree(&vacuous, "vacuous row");
 }
 
 /// The random family from the property suite: feasible at the origin,
@@ -151,6 +137,18 @@ fn random_lp(rng: &mut ChaCha8Rng) -> LpProblem {
     lp
 }
 
+/// `random_lp` plus a fixed variable and a singleton row. The fixed
+/// variable shifts every row's right-hand side, so the origin is no
+/// longer a known feasible point: backends must agree on the status
+/// before objectives are compared.
+fn random_with_fixed_and_singleton(rng: &mut ChaCha8Rng) -> LpProblem {
+    let mut lp = random_lp(rng);
+    lp.set_bounds(0, 0.5, 0.5).unwrap();
+    lp.add_constraint(vec![(1, 1.0)], ConstraintSense::Le, rng.gen_range(0.3..1.0))
+        .unwrap();
+    lp
+}
+
 #[test]
 fn revised_agrees_with_both_oracles_on_random_instances() {
     run_cases("revised_vs_oracles", 64, |rng| {
@@ -167,6 +165,31 @@ fn revised_agrees_with_both_oracles_on_random_instances() {
             revised.objective
         );
         prop_assert!(lp.max_violation(&revised.x) < 1e-6);
+
+        // Second family: fixed columns take the interior-point method
+        // through its reduced (active-column) form.
+        let lp = random_with_fixed_and_singleton(rng);
+        let dense = solve(&lp, Solver::Simplex).map_err(|e| e.to_string())?;
+        let revised = solve(&lp, Solver::Revised).map_err(|e| e.to_string())?;
+        let ipm = solve(&lp, Solver::InteriorPoint).map_err(|e| e.to_string())?;
+        prop_assert_eq!(revised.status, dense.status);
+        prop_assert_eq!(ipm.status, dense.status);
+        if dense.status == LpStatus::Optimal {
+            let scale = 1.0 + dense.objective.abs();
+            for (name, sol) in [("revised", &revised), ("interior-point", &ipm)] {
+                prop_assert!(
+                    (sol.objective - dense.objective).abs() < 1e-6 * scale,
+                    "dense {} vs {name} {}",
+                    dense.objective,
+                    sol.objective
+                );
+                prop_assert!(
+                    lp.max_violation(&sol.x) < 1e-6,
+                    "{name} point violates the problem by {}",
+                    lp.max_violation(&sol.x)
+                );
+            }
+        }
         Ok(())
     });
 }

@@ -52,11 +52,7 @@ impl TaskCosts {
     pub fn cheapest_feasible(&self, deadline: Seconds) -> Option<ExecutionSite> {
         self.iter()
             .filter(|(_, c)| c.time <= deadline)
-            .min_by(|a, b| {
-                a.1.energy
-                    .partial_cmp(&b.1.energy)
-                    .expect("finite energies")
-            })
+            .min_by(|a, b| a.1.energy.value().total_cmp(&b.1.energy.value()))
             .map(|(s, _)| s)
     }
 
