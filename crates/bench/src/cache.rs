@@ -109,9 +109,8 @@ pub fn scenario_with_costs(cfg: &ScenarioConfig) -> Result<Arc<CachedScenario>, 
     mec_obs::counter_add("cache/scenario/misses", 1);
     // Build outside the lock; concurrent builders of the same key produce
     // identical values (generation is seed-deterministic), first insert wins.
-    // The chunked parallel pricer is bit-identical to `CostTable::build`.
     let scenario = cfg.generate()?;
-    let costs = crate::pricing::build_cost_table(&scenario.system, &scenario.tasks)?;
+    let costs = CostTable::build(&scenario.system, &scenario.tasks)?;
     let built = Arc::new(CachedScenario { scenario, costs });
     let mut guard = lock(map);
     if guard.len() >= MAX_ENTRIES {

@@ -7,6 +7,7 @@
 //! everything testable lives here.
 
 use dsmec_core::assignment::Assignment;
+use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
 use dsmec_core::hta::{
     AllOffload, AllToC, Hgos, HtaAlgorithm, LocalFirst, LpHta, NashOffload, RandomAssign,
@@ -213,7 +214,7 @@ pub fn assign_scenario(
     algorithm: AlgorithmName,
     seed: u64,
 ) -> Result<AssignmentFile, AssignError> {
-    let costs = crate::pricing::build_cost_table(&scenario.system, &scenario.tasks)?;
+    let costs = CostTable::build(&scenario.system, &scenario.tasks)?;
     let algo = algorithm.instantiate(seed);
     let assignment = algo.assign(&scenario.system, &scenario.tasks, &costs)?;
     let metrics = evaluate_assignment(&scenario.tasks, &costs, &assignment)?;

@@ -19,6 +19,7 @@ use crate::runner::{
     WarmChain,
 };
 use crate::table::Figure;
+use dsmec_core::costs::CostTable;
 use dsmec_core::dta::{
     divide_balanced, divide_min_devices, divisible_as_holistic, dta_device_shares, exact_min_max,
     rebalance, run_dta, DtaConfig,
@@ -248,7 +249,7 @@ fn dta_energy_point(cfg: &DivisibleScenarioConfig) -> Result<[f64; 3], AssignErr
     let scenario = cfg.generate()?;
     // LP-HTA on the raw-data (holistic) version of the same workload.
     let holistic = divisible_as_holistic(&scenario)?;
-    let costs = crate::pricing::build_cost_table(&scenario.system, &holistic)?;
+    let costs = CostTable::build(&scenario.system, &holistic)?;
     let a = LpHta::paper().assign(&scenario.system, &holistic, &costs)?;
     let lp = evaluate_assignment(&holistic, &costs, &a)?
         .total_energy
@@ -673,7 +674,7 @@ pub fn ext_battery(opts: &ExperimentOptions) -> FigResult {
         let mut per_strategy: Vec<Vec<DeviceShare>> = Vec::new();
         // LP-HTA over the raw (holistic) workload.
         let holistic = divisible_as_holistic(&s)?;
-        let costs = crate::pricing::build_cost_table(&s.system, &holistic)?;
+        let costs = CostTable::build(&s.system, &holistic)?;
         let a = LpHta::paper().assign(&s.system, &holistic, &costs)?;
         let mut shares: Vec<DeviceShare> = Vec::new();
         for (idx, task) in holistic.iter().enumerate() {
@@ -754,7 +755,7 @@ pub fn ext_mobility(opts: &ExperimentOptions) -> FigResult {
         cfg.move_prob = p;
         let dynamic = cfg.generate()?;
         // Epoch-0 assignment, reused stale across epochs.
-        let costs0 = crate::pricing::build_cost_table(&dynamic.epochs[0], &dynamic.tasks)?;
+        let costs0 = CostTable::build(&dynamic.epochs[0], &dynamic.tasks)?;
         let stale = LpHta::paper().assign(&dynamic.epochs[0], &dynamic.tasks, &costs0)?;
         let epochs = dynamic.epochs.len() as f64;
         let mut acc = vec![0.0; 4];
@@ -763,7 +764,7 @@ pub fn ext_mobility(opts: &ExperimentOptions) -> FigResult {
         // previous epoch's optimum.
         let mut warm = WarmBases::new();
         for (e, system) in dynamic.epochs.iter().enumerate() {
-            let costs = crate::pricing::build_cost_table(system, &dynamic.tasks)?;
+            let costs = CostTable::build(system, &dynamic.tasks)?;
             let stale_m = evaluate_assignment(&dynamic.tasks, &costs, &stale)?;
             let (fresh, _) = LpHta::paper().assign_with_report_warm(
                 system,
@@ -960,7 +961,7 @@ pub fn scale(opts: &ExperimentOptions) -> FigResult {
     cfg.devices_per_station = 500;
     cfg.tasks_total = 100_000;
     let s = cfg.generate()?;
-    let costs = crate::pricing::build_cost_table(&s.system, &s.tasks)?;
+    let costs = CostTable::build(&s.system, &s.tasks)?;
     let feasible = s
         .tasks
         .iter()

@@ -1,15 +1,10 @@
-//! Work-stealing parallel map primitives for the experiment sweeps.
+//! The work-stealing parallel map of the experiment sweeps and serve.
 //!
-//! Replaces the previous crossbeam-scope implementation (which funneled
-//! every result through a contended `Mutex<Vec<Option<R>>>` and poisoned
-//! the whole run on any worker panic) with:
-//!
-//! * lock-free result collection — each item writes its result exactly
-//!   once into its pre-allocated slot, no lock on the hot path;
-//! * [`par_map_result`] — `Result`-propagating variant that also converts
-//!   worker *panics* into a proper `Err` (via [`FromWorkerPanic`]) instead
-//!   of tearing down the process, and aborts remaining work after the
-//!   first failure.
+//! [`par_map_result`] collects results lock-free (each item writes its
+//! result exactly once into its pre-allocated slot), converts worker
+//! *panics* into a proper `Err` (via [`FromWorkerPanic`]) instead of
+//! tearing down the process, and aborts remaining work after the first
+//! failure.
 //!
 //! This module is the workspace's only parallelism: sweeps fan out over
 //! clusters, seeds and points, and each LP runs serially on the worker
@@ -24,11 +19,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Minimum projected *remaining* work (ns) before a map spawns worker
-/// threads. Both maps measure their first `min(2, len)` items on the
-/// calling thread and extrapolate from the **max** per-item time; below
+/// Minimum projected *remaining* work (ns) before the map spawns worker
+/// threads. It measures its first `min(2, len)` items on the calling
+/// thread and extrapolates from the **max** per-item time; below
 /// this floor the spawn + join overhead (~tens of µs per thread) would
-/// dominate, so they finish serially instead. Keeps cheap sweeps —
+/// dominate, so the map finishes serially instead. Keeps cheap sweeps —
 /// fig6b's division-only points most visibly — from paying for
 /// parallelism they cannot amortize. Probing two items (not one) matters
 /// for heterogeneous batches: the first item's time absorbs cache-miss
@@ -120,84 +115,24 @@ impl<R> Slots<R> {
     }
 }
 
-/// Parallel map preserving input order. Results land lock-free in
-/// pre-allocated slots; work is distributed through a shared atomic index
-/// so fast workers steal whatever is left.
-///
-/// Granularity is adaptive: the first `min(2, len)` items run (and are
-/// timed) on the calling thread, and worker threads are spawned only when
-/// the remaining work projected from the *slowest* probe item clears
-/// [`SPAWN_FLOOR_NS`] — cheap sweeps finish serially rather than paying
-/// spawn/join overhead per point, while a cheap first item cannot mask an
-/// expensive tail.
-///
-/// # Panics
-///
-/// A panicking `f` propagates to the caller once the scope joins (use
-/// [`par_map_result`] to receive failures as values instead).
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads().min(n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let slots = Slots::new(n);
-    // Probe: the first min(2, n) items on the calling thread, timed
-    // individually; project the tail from the slowest one so a cheap
-    // first item (or one whose cost hides in another item's lazy init)
-    // cannot keep an expensive batch serial.
-    let probes = PROBE_ITEMS.min(n);
-    let mut worst: u128 = 0;
-    for (i, item) in items.iter().enumerate().take(probes) {
-        let probe = Instant::now();
-        let r = f(item);
-        worst = worst.max(probe.elapsed().as_nanos());
-        // Safety: probe indices are not claimable (the shared counter
-        // starts at `probes`).
-        unsafe { slots.fill(i, r) };
-    }
-    let projected = worst.saturating_mul((n - probes) as u128);
-    let next = AtomicUsize::new(probes);
-    let work = || {
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let r = f(&items[i]);
-            // Safety: index `i` was claimed exclusively above.
-            unsafe { slots.fill(i, r) };
-        }
-        // Join-point flush: a scope's implicit join does not wait for TLS
-        // destructors, so the exit-flush backstop can land *after* the
-        // sweep snapshots its metrics. Flushing at the end of the worker
-        // closure (this also runs on the calling thread) makes everything
-        // recorded here visible once the scope returns.
-        mec_obs::flush_current_thread();
-    };
-    if projected < SPAWN_FLOOR_NS {
-        work();
-    } else {
-        std::thread::scope(|scope| {
-            // The borrow is load-bearing: the same closure runs on N threads.
-            #[allow(clippy::needless_borrows_for_generic_args)]
-            for _ in 1..workers {
-                scope.spawn(&work);
-            }
-            work();
-        });
-    }
-    slots.drain()
+/// The adaptive probe's spawn decision: worker threads pay off only when
+/// the `remaining` items, projected at the *slowest* probe item's time,
+/// clear [`SPAWN_FLOOR_NS`]. Taking the max keeps a cheap first item from
+/// pinning an expensive tail to the calling thread.
+fn should_spawn(probe_ns: &[u128], remaining: usize) -> bool {
+    let worst = probe_ns.iter().copied().max().unwrap_or(0);
+    worst.saturating_mul(remaining as u128) >= SPAWN_FLOOR_NS
 }
 
-/// Fallible parallel map preserving input order. The first failure —
-/// an `Err` from `f` or a worker panic (converted through
-/// [`FromWorkerPanic`]) — aborts the remaining work and is returned;
-/// among failures observed concurrently, the one with the smallest item
-/// index wins, so single-failure runs are deterministic.
+/// Parallel map preserving input order. Work is distributed through a
+/// shared atomic index so fast workers steal whatever is left; the first
+/// `min(2, len)` items run (and are timed) on the calling thread, and
+/// workers spawn only when [`should_spawn`] says the tail pays for them.
+///
+/// The first failure — an `Err` from `f` or a worker panic (converted
+/// through [`FromWorkerPanic`]) — aborts the remaining work and is
+/// returned; among failures observed concurrently, the one with the
+/// smallest item index wins, so single-failure runs are deterministic.
 ///
 /// # Errors
 ///
@@ -251,26 +186,27 @@ where
             }
             run_item(i);
         }
-        // Join-point flush; see `par_map` for why this cannot rely on the
-        // thread-exit backstop.
+        // Join-point flush: a scope's implicit join does not wait for TLS
+        // destructors, so the exit-flush backstop can land *after* the
+        // sweep snapshots its metrics. Flushing at the end of the worker
+        // closure (this also runs on the calling thread) makes everything
+        // recorded here visible once the scope returns.
         mec_obs::flush_current_thread();
     };
     if workers <= 1 {
         work();
     } else {
         // Probe: the first min(2, n) items on the calling thread, timed
-        // individually; spawn only when the tail projected from the
-        // slowest probe clears the floor (see `par_map`).
+        // individually.
         let probes = PROBE_ITEMS.min(n);
-        let mut worst: u128 = 0;
-        for i in 0..probes {
+        let mut probe_ns = [0u128; PROBE_ITEMS];
+        for (i, ns) in probe_ns.iter_mut().enumerate().take(probes) {
             let probe = Instant::now();
             run_item(i);
-            worst = worst.max(probe.elapsed().as_nanos());
+            *ns = probe.elapsed().as_nanos();
         }
-        let projected = worst.saturating_mul((n - probes) as u128);
         next.store(probes, Ordering::Relaxed);
-        if projected < SPAWN_FLOOR_NS {
+        if !should_spawn(&probe_ns[..probes], n - probes) {
             work();
         } else {
             std::thread::scope(|scope| {
@@ -313,19 +249,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = par_map(&items, |&i| i * 2);
-        assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-        let empty: Vec<usize> = vec![];
-        assert!(par_map(&empty, |&i: &usize| i).is_empty());
-    }
-
-    #[test]
     fn par_map_result_collects_ok() {
         let items: Vec<usize> = (0..100).collect();
         let out: Result<Vec<usize>, AssignError> = par_map_result(&items, |&i| Ok(i + 1));
         assert_eq!(out.unwrap(), (1..=100).collect::<Vec<_>>());
+        let empty: Vec<usize> = vec![];
+        let out: Result<Vec<usize>, AssignError> = par_map_result(&empty, |&i| Ok(i));
+        assert!(out.unwrap().is_empty());
     }
 
     #[test]
@@ -367,8 +297,8 @@ mod tests {
     }
 
     /// The join-point flush contract: metrics and flight-recorder events
-    /// staged on `par_map` workers are visible in a snapshot taken right
-    /// after the call returns, and worker `sweep/point`-style spans link
+    /// staged on `par_map_result` workers are visible in a snapshot taken
+    /// right after the call returns, and worker `sweep/point`-style spans link
     /// to the coordinating thread's span via the explicit parent id.
     #[test]
     fn par_map_flushes_worker_metrics_at_the_join_point() {
@@ -386,10 +316,10 @@ mod tests {
         let items: Vec<usize> = (0..16).collect();
         // Each point outlasts the spawn floor so workers really spawn and
         // the join-point flush (not serial fallback) is what's under test.
-        let out = par_map(&items, |&i| {
+        let out: Result<Vec<usize>, AssignError> = par_map_result(&items, |&i| {
             let _g = mec_obs::span_with_parent("par_test/point", parent);
             busy_wait(60);
-            i * 3
+            Ok(i * 3)
         });
         sweep.finish();
         let snap = mec_obs::snapshot();
@@ -399,7 +329,7 @@ mod tests {
         mec_obs::set_enabled(false);
         mec_obs::reset();
 
-        assert_eq!(out[7], 21);
+        assert_eq!(out.unwrap()[7], 21);
         // Every point is visible immediately after the join — no
         // reliance on the racy thread-exit flush.
         assert_eq!(snap.span("par_test/point").map(|s| s.count), Some(16));
@@ -421,47 +351,34 @@ mod tests {
         assert!(snap.counter("obs/flush").unwrap_or(0) >= 1);
     }
 
-    /// Below the spawn floor both maps finish on the calling thread: no
-    /// worker threads appear even with a multi-thread setting.
+    /// Below the spawn floor the map finishes on the calling thread: a
+    /// tail of cheap items never pays for worker threads.
     #[test]
     fn cheap_maps_stay_on_the_calling_thread() {
-        let _t = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_threads(4);
-        let main_id = std::thread::current().id();
-        let items: Vec<usize> = (0..8).collect();
-        let ids = par_map(&items, |_| std::thread::current().id());
-        let ids_r: Result<Vec<_>, AssignError> =
-            par_map_result(&items, |_| Ok(std::thread::current().id()));
-        set_threads(0);
-        assert!(ids.iter().all(|id| *id == main_id));
-        assert!(ids_r.unwrap().iter().all(|id| *id == main_id));
+        assert!(!should_spawn(&[1_000, 2_000], 14));
+        assert!(!should_spawn(&[10_000, 10_000], 19), "just under the floor");
+        assert!(should_spawn(&[10_000, 10_000], 20), "exactly at the floor");
     }
 
     /// A cheap first item must not keep a heterogeneous batch serial: the
-    /// probe takes the max over min(2, len) items, so a batch whose tail
-    /// is expensive clears the spawn floor and runs off the calling
-    /// thread. (A single-item probe projected the whole batch from the
-    /// cheap head and stayed serial.)
+    /// decision projects from the max over both probe items, so an
+    /// expensive second item spawns workers for the tail. (A single-item
+    /// probe projected the whole batch from the cheap head and stayed
+    /// serial.)
     #[test]
     fn heterogeneous_batches_spawn_despite_a_cheap_first_item() {
-        let _t = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_threads(4);
-        let main_id = std::thread::current().id();
-        let items: Vec<usize> = (0..16).collect();
-        let heavy_tail = |&i: &usize| {
-            if i > 0 {
-                busy_wait(300);
-            }
-            std::thread::current().id()
-        };
-        let ids = par_map(&items, heavy_tail);
-        let ids_r: Result<Vec<_>, AssignError> = par_map_result(&items, |i| Ok(heavy_tail(i)));
-        set_threads(0);
+        assert!(should_spawn(&[1_000, 300_000], 14));
         assert!(
-            ids.iter().any(|id| *id != main_id),
-            "expensive tail behind a cheap probe item must spawn workers"
+            !should_spawn(&[1_000], 14),
+            "the cheap head alone projects low"
         );
-        assert!(ids_r.unwrap().iter().any(|id| *id != main_id));
+    }
+
+    /// A single item has no tail to share, however slow it is.
+    #[test]
+    fn a_single_item_stays_serial() {
+        assert!(!should_spawn(&[u128::MAX], 0));
+        assert!(!should_spawn(&[], 0));
     }
 
     #[test]

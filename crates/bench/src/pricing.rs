@@ -1,130 +1,19 @@
-//! Chunked parallel cost-table pricing (DESIGN.md §11).
-//!
-//! [`dsmec_core::costs::CostTable::build`] prices tasks serially; this
-//! module fans the *infallible* arena kernel
-//! ([`mec_sim::cost::evaluate_resolved`]) out over fixed task chunks with
-//! [`crate::par::par_map`] and concatenates the chunk matrices back in
-//! task order. The fallible [`mec_sim::cost::resolve`] pass stays serial
-//! so the first error (in task order) wins deterministically regardless
-//! of thread count — `par_map_result` aborts early and can observe a
-//! *later* failure first, which would make the reported error
-//! thread-count-dependent.
-//!
-//! Bit-identity with the serial build holds by construction: both paths
-//! price each task through the same `site_costs` kernel with the same
-//! resolved values, and fixed chunk boundaries + in-order concatenation
-//! reproduce the serial row order exactly.
+//! Cost-table pricing for the bench layer.
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
-use mec_sim::arena::ScenarioArena;
-use mec_sim::cost::{self, CostFacts, CostMatrix};
 use mec_sim::task::HolisticTask;
 use mec_sim::topology::MecSystem;
 
-/// Tasks per parallel chunk. Fixed (not derived from thread count) so the
-/// chunk boundaries — and thus the concatenation order — are identical
-/// for every `--threads` setting.
-pub const CHUNK_TASKS: usize = 8192;
-
-/// Prices every task in `tasks`, fanning the arena kernel out over
-/// [`CHUNK_TASKS`]-sized chunks. Produces a table bit-identical to
-/// [`CostTable::build`] on the same inputs.
+/// Prices every task in `tasks`: exactly [`CostTable::build`], kept under
+/// this name because the `perfbench` replay links it.
 ///
 /// # Errors
 ///
-/// Exactly the serial build's errors, first task first.
+/// Exactly [`CostTable::build`]'s errors, first task first.
 pub fn build_cost_table(
     system: &MecSystem,
     tasks: &[HolisticTask],
 ) -> Result<CostTable, AssignError> {
-    let _timer = mec_obs::span("cost/build");
-    let arena = ScenarioArena::from_system(system).map_err(AssignError::Mec)?;
-    // Serial fallible pass: validation + handle resolution, task order.
-    let mut facts = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        facts.push(cost::resolve(system, task).map_err(AssignError::Mec)?);
-    }
-    let matrix = price_resolved(system, &arena, tasks, &facts);
-    Ok(CostTable::from_matrix(matrix))
-}
-
-/// The infallible kernel fan-out: chunked `par_map`, in-order append.
-fn price_resolved(
-    system: &MecSystem,
-    arena: &ScenarioArena,
-    tasks: &[HolisticTask],
-    facts: &[CostFacts],
-) -> CostMatrix {
-    debug_assert_eq!(tasks.len(), facts.len());
-    let bounds: Vec<(usize, usize)> = (0..tasks.len())
-        .step_by(CHUNK_TASKS.max(1))
-        .map(|lo| (lo, (lo + CHUNK_TASKS).min(tasks.len())))
-        .collect();
-    let mut chunks = crate::par::par_map(&bounds, |&(lo, hi)| {
-        let mut m = CostMatrix::with_capacity(hi - lo);
-        for i in lo..hi {
-            m.push(cost::evaluate_resolved(system, arena, &tasks[i], facts[i]));
-        }
-        m
-    });
-    let mut matrix = CostMatrix::with_capacity(tasks.len());
-    for chunk in &mut chunks {
-        matrix.append(chunk);
-    }
-    matrix
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mec_sim::units::Seconds;
-    use mec_sim::workload::ScenarioConfig;
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        let mut cfg = ScenarioConfig::paper_defaults(7);
-        cfg.tasks_total = 300; // spans multiple probe items but one chunk
-        let s = cfg.generate().unwrap();
-        let serial = CostTable::build(&s.system, &s.tasks).unwrap();
-        let _t = crate::par::THREADS_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for threads in [1, 4] {
-            crate::par::set_threads(threads);
-            let parallel = build_cost_table(&s.system, &s.tasks);
-            crate::par::set_threads(0);
-            assert_eq!(parallel.unwrap(), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunk_boundaries_do_not_reorder_rows() {
-        // Force several chunks by shrinking the chunk constant's effect:
-        // price a task count just over one chunk via repeated slices.
-        let mut cfg = ScenarioConfig::paper_defaults(8);
-        cfg.tasks_total = 64;
-        let s = cfg.generate().unwrap();
-        let serial = CostTable::build(&s.system, &s.tasks).unwrap();
-        let arena = ScenarioArena::from_system(&s.system).unwrap();
-        let facts: Vec<CostFacts> = s
-            .tasks
-            .iter()
-            .map(|t| cost::resolve(&s.system, t).unwrap())
-            .collect();
-        let matrix = price_resolved(&s.system, &arena, &s.tasks, &facts);
-        assert_eq!(CostTable::from_matrix(matrix), serial);
-    }
-
-    #[test]
-    fn first_error_in_task_order_wins() {
-        let s = ScenarioConfig::paper_defaults(9).generate().unwrap();
-        let mut tasks = s.tasks.clone();
-        // Invalidate two tasks; the earlier one must be reported.
-        tasks[5].deadline = Seconds::ZERO;
-        tasks[2].deadline = Seconds::ZERO;
-        let serial = CostTable::build(&s.system, &tasks).unwrap_err();
-        let parallel = build_cost_table(&s.system, &tasks).unwrap_err();
-        assert_eq!(parallel.to_string(), serial.to_string());
-    }
+    CostTable::build(system, tasks)
 }

@@ -12,7 +12,7 @@ use dsmec_core::hta::{
 use dsmec_core::metrics::{evaluate_assignment, Metrics};
 use mec_sim::workload::{Scenario, ScenarioConfig};
 
-pub use crate::par::{par_map, par_map_result};
+pub use crate::par::par_map_result;
 
 /// The holistic algorithms a figure can sweep, as a value type so sweeps
 /// are `Send + Sync` without trait-object plumbing.
@@ -248,7 +248,7 @@ pub fn sweep_seed_averaged<P: Sync>(
     let sweep_parent = mec_obs::current_span_id();
     let rows = par_map_result(&pairs, |&(pi, seed)| {
         // Per-(point, seed) wall time; workers stage locally and flush
-        // into the global registry at the par_map join point.
+        // into the global registry at the par_map_result join point.
         let _timer = mec_obs::span_with_parent("sweep/point", sweep_parent);
         eval(&points[pi], seed)
     })?;

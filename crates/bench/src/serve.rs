@@ -12,8 +12,8 @@
 //! 2. shards the instance per base-station cluster (clusters only
 //!    couple through the cloud, so each cluster's LP is independent by
 //!    construction),
-//! 3. solves every shard concurrently under the deterministic `par_map`
-//!    contract via [`LpHta::solve_cluster`], each shard warm-started
+//! 3. solves every shard concurrently under the deterministic
+//!    `par_map_result` contract via [`LpHta::solve_cluster`], each shard warm-started
 //!    from the basis *its own station* produced last epoch,
 //! 4. commits bases and statistics serially, rounds, and reconciles the
 //!    one cross-cluster resource — cloud capacity — with a cheap serial
@@ -31,6 +31,7 @@ use dsmec_core::assignment::Decision;
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
 use dsmec_core::hta::{cluster_task_indices, ClusterSolve, FractionalSolution, LpHta, WarmBases};
+use dsmec_core::repair::replacement_source;
 use mec_sim::sim::{ChaosConfig, Fault, FaultPlan};
 use mec_sim::stream::{StreamConfig, TaskStream};
 use mec_sim::task::{ExecutionSite, HolisticTask};
@@ -336,8 +337,9 @@ impl Outcome {
 }
 
 /// Replans a task whose external data source died this epoch. The
-/// replacement is the lowest-id live device other than the owner — the
-/// same rule every epoch, so replays agree for any worker-thread count.
+/// replacement is [`replacement_source`]'s lowest-id live device other
+/// than the owner — the same rule every epoch, so replays agree for any
+/// worker-thread count.
 /// When every other device is dead (all holders of the shared datum went
 /// down at once) the external dependency is dropped entirely — source
 /// cleared *and* size zeroed together, preserving the
@@ -355,10 +357,7 @@ fn resource_dead_external(task: &mut HolisticTask, is_dead: &[bool]) -> bool {
     if src.0 >= is_dead.len() || !is_dead[src.0] {
         return false;
     }
-    let replacement = (0..is_dead.len())
-        .map(DeviceId)
-        .find(|d| !is_dead[d.0] && *d != task.owner);
-    match replacement {
+    match replacement_source(task.owner, is_dead) {
         Some(d) => task.external_source = Some(d),
         None => {
             task.external_source = None;
@@ -474,7 +473,7 @@ pub fn serve_with_hook(
         // its own station's chained basis. The warm store is read-only
         // during the parallel region; commits happen serially below, in
         // station order, so the outcome is thread-count independent.
-        let costs = crate::pricing::build_cost_table(&stream.system, &live_tasks)?;
+        let costs = CostTable::build(&stream.system, &live_tasks)?;
         let shards: Vec<(StationId, Vec<usize>)> =
             cluster_task_indices(&stream.system, &live_tasks)?;
         let solves: Vec<Option<ClusterSolve>> = crate::par::par_map_result(&shards, |shard| {

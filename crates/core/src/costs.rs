@@ -1,15 +1,10 @@
 //! Precomputed cost tables: `t_ijl`/`E_ijl` for every task × site, shared
 //! by all assignment algorithms so the Section II formulas are evaluated
-//! exactly once per scenario. Since the arena refactor (DESIGN.md §11)
-//! the storage is a flat [`CostMatrix`] — two contiguous stride-3
-//! `Vec<f64>`s — built through [`mec_sim::arena::ScenarioArena`] rows, so
-//! pricing 10⁵ tasks is a cache-linear scan and chunked parallel builders
-//! (see the bench layer) can assemble a table from independently priced
-//! ranges.
+//! exactly once per scenario. Each task is priced by
+//! [`mec_sim::cost::evaluate`], the workspace's one pricing function.
 
 use crate::error::AssignError;
-use mec_sim::arena::ScenarioArena;
-use mec_sim::cost::{CostMatrix, SiteCost, TaskCosts};
+use mec_sim::cost::{self, SiteCost, TaskCosts};
 use mec_sim::task::{ExecutionSite, HolisticTask};
 use mec_sim::topology::MecSystem;
 use mec_sim::units::Seconds;
@@ -18,13 +13,11 @@ use mec_sim::units::Seconds;
 /// built from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostTable {
-    matrix: CostMatrix,
+    rows: Vec<TaskCosts>,
 }
 
 impl CostTable {
-    /// Prices every task in `tasks` against `system`, serially. The
-    /// bench layer's chunked parallel builder produces a bit-identical
-    /// table via [`CostTable::from_matrix`].
+    /// Prices every task in `tasks` against `system`, in task order.
     ///
     /// # Errors
     ///
@@ -32,26 +25,21 @@ impl CostTable {
     /// first task first.
     pub fn build(system: &MecSystem, tasks: &[HolisticTask]) -> Result<CostTable, AssignError> {
         let _timer = mec_obs::span("cost/build");
-        let arena = ScenarioArena::from_system(system)?;
-        let matrix = CostMatrix::build(system, &arena, tasks)?;
-        Ok(CostTable { matrix })
-    }
-
-    /// Wraps an already-built matrix (e.g. one assembled from parallel
-    /// chunks) as a table.
-    #[must_use]
-    pub fn from_matrix(matrix: CostMatrix) -> CostTable {
-        CostTable { matrix }
+        let rows = tasks
+            .iter()
+            .map(|task| cost::evaluate(system, task))
+            .collect::<Result<_, _>>()?;
+        Ok(CostTable { rows })
     }
 
     /// Number of priced tasks.
     pub fn len(&self) -> usize {
-        self.matrix.len()
+        self.rows.len()
     }
 
     /// True iff the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.matrix.is_empty()
+        self.rows.is_empty()
     }
 
     /// Full per-site costs of task `idx`.
@@ -72,8 +60,9 @@ impl CostTable {
     ///
     /// Returns [`AssignError::IndexOutOfRange`] when `idx` is not a row.
     pub fn try_task(&self, idx: usize) -> Result<TaskCosts, AssignError> {
-        self.matrix
-            .task_costs(idx)
+        self.rows
+            .get(idx)
+            .copied()
             .ok_or(AssignError::IndexOutOfRange {
                 what: "cost table",
                 index: idx,
@@ -98,13 +87,7 @@ impl CostTable {
     ///
     /// Returns [`AssignError::IndexOutOfRange`] when `idx` is not a row.
     pub fn try_at(&self, idx: usize, site: ExecutionSite) -> Result<SiteCost, AssignError> {
-        self.matrix
-            .site(idx, site)
-            .ok_or(AssignError::IndexOutOfRange {
-                what: "cost table",
-                index: idx,
-                len: self.len(),
-            })
+        self.try_task(idx).map(|c| c.at(site))
     }
 
     /// Whether task `idx` meets `deadline` when run at `site`.
@@ -133,7 +116,7 @@ mod tests {
             let direct = evaluate(&s.system, t).unwrap();
             for site in ExecutionSite::ALL {
                 assert_eq!(table.at(i, site), direct.at(site));
-                // Bit-identity of the arena path, not mere closeness.
+                // Bit-identity, not mere closeness.
                 assert_eq!(
                     table.at(i, site).time.value().to_bits(),
                     direct.at(site).time.value().to_bits()
@@ -154,6 +137,18 @@ mod tests {
         let mut tasks = s.tasks.clone();
         tasks[0].deadline = Seconds::ZERO;
         assert!(CostTable::build(&s.system, &tasks).is_err());
+    }
+
+    #[test]
+    fn first_error_in_task_order_wins() {
+        let s = ScenarioConfig::paper_defaults(9).generate().unwrap();
+        let mut tasks = s.tasks.clone();
+        // Invalidate two tasks with different errors; the earlier one
+        // must be reported.
+        tasks[5].complexity = 0.0;
+        tasks[2].deadline = Seconds::ZERO;
+        let err = CostTable::build(&s.system, &tasks).unwrap_err();
+        assert!(err.to_string().contains("deadline"), "{err}");
     }
 
     #[test]

@@ -202,11 +202,12 @@ pub struct LpHta {
     /// six-step LP path. Disable for the LP-backend ablation.
     pub fast_path: bool,
     /// Scalability guard: clusters with more tasks than this skip the
-    /// dense LP (whose normal equations grow cubically) and seed Steps
-    /// 3–6 with the greedy cheapest-feasible indicator instead. The
-    /// repair steps still enforce every constraint; only the fractional
-    /// seed differs. The paper's own experiments (≤ 450 tasks over 5
-    /// clusters) never reach this limit.
+    /// Step-1 LP (whose simplex work grows superlinearly with the
+    /// cluster's task count) and seed Steps 3–6 with the greedy
+    /// cheapest-feasible indicator instead. The repair steps still
+    /// enforce every constraint; only the fractional seed differs. The
+    /// paper's own experiments (≤ 450 tasks over 5 clusters) never reach
+    /// this limit.
     pub lp_cluster_limit: usize,
 }
 
@@ -329,24 +330,7 @@ impl LpHta {
         tasks: &[HolisticTask],
         costs: &CostTable,
     ) -> Result<(Assignment, LpHtaReport), AssignError> {
-        if tasks.len() != costs.len() {
-            return Err(AssignError::LengthMismatch {
-                tasks: tasks.len(),
-                other: costs.len(),
-            });
-        }
-        // Umbrella span: relaxation and rounding nest under it, so the
-        // flight recorder shows per-call LP-HTA totals even when the caller
-        // (dsmec assign, a unit test) opens no sweep/point span of its own.
-        let _timer = mec_obs::span("lp_hta/assign");
-        if self.fast_path {
-            if let Some(result) = self.try_fast_path(system, tasks, costs)? {
-                mec_obs::counter_add("lp_hta/fast_path/hits", 1);
-                return Ok(result);
-            }
-        }
-        let fractional = self.solve_relaxation(system, tasks, costs)?;
-        self.round_with(system, tasks, costs, &fractional)
+        self.assign_with_report_inner(system, tasks, costs, None)
     }
 
     /// Like [`Self::assign_with_report`], but threads a [`WarmBases`]
@@ -366,12 +350,25 @@ impl LpHta {
         costs: &CostTable,
         warm: &mut WarmBases,
     ) -> Result<(Assignment, LpHtaReport), AssignError> {
+        self.assign_with_report_inner(system, tasks, costs, Some(warm))
+    }
+
+    fn assign_with_report_inner(
+        &self,
+        system: &MecSystem,
+        tasks: &[HolisticTask],
+        costs: &CostTable,
+        warm: Option<&mut WarmBases>,
+    ) -> Result<(Assignment, LpHtaReport), AssignError> {
         if tasks.len() != costs.len() {
             return Err(AssignError::LengthMismatch {
                 tasks: tasks.len(),
                 other: costs.len(),
             });
         }
+        // Umbrella span: relaxation and rounding nest under it, so the
+        // flight recorder shows per-call LP-HTA totals even when the caller
+        // (dsmec assign, a unit test) opens no sweep/point span of its own.
         let _timer = mec_obs::span("lp_hta/assign");
         if self.fast_path {
             if let Some(result) = self.try_fast_path(system, tasks, costs)? {
@@ -379,7 +376,7 @@ impl LpHta {
                 return Ok(result);
             }
         }
-        let fractional = self.solve_relaxation_inner(system, tasks, costs, Some(warm))?;
+        let fractional = self.solve_relaxation_inner(system, tasks, costs, warm)?;
         self.round_with(system, tasks, costs, &fractional)
     }
 
@@ -495,7 +492,7 @@ impl LpHta {
     ///
     /// Pure with respect to chain state: the caller owns basis storage
     /// (see [`WarmBases`]), which is what lets the serve loop run one
-    /// `solve_cluster` per shard under the deterministic `par_map`
+    /// `solve_cluster` per shard under the deterministic `par_map_result`
     /// contract and commit the returned bases serially.
     ///
     /// # Errors

@@ -37,6 +37,7 @@ use crate::costs::CostTable;
 use crate::dta::Coverage;
 use crate::error::AssignError;
 use crate::hta::lp_hta::repair_capacity;
+use mec_sim::cost;
 use mec_sim::data::{DataUniverse, ItemSet, OwnersIndex};
 use mec_sim::sim::{
     simulate_chaos_with_arrivals, ChaosOutcome, Contention, FaultHit, FaultHitKind, FaultPlan,
@@ -237,7 +238,7 @@ pub fn execute_with_repair(
             other: assignment.len(),
         });
     }
-    let dead = plan.dying_devices();
+    let is_dead = dead_mask(system.num_devices(), &plan.dying_devices());
     // Working copies: sources may be rewritten by repair.
     let mut current: Vec<HolisticTask> = tasks.to_vec();
     let mut results: Vec<Option<TaskRepairResult>> = vec![None; tasks.len()];
@@ -434,12 +435,8 @@ pub fn execute_with_repair(
                                 continue;
                             }
                             // The dead device must be the shared-data
-                            // source: find the lowest-id live replacement.
-                            let replacement = system
-                                .devices()
-                                .iter()
-                                .map(|d| d.id)
-                                .find(|d| *d != tasks[idx].owner && !dead.contains(d));
+                            // source: re-source it.
+                            let replacement = replacement_source(tasks[idx].owner, &is_dead);
                             let Some(new_source) = replacement else {
                                 abandon(
                                     idx,
@@ -460,11 +457,9 @@ pub fn execute_with_repair(
                             // else the cheapest fitting site, else cloud
                             // (runs and reports its miss — explicit, not
                             // dropped).
-                            let task_costs =
-                                CostTable::build(system, std::slice::from_ref(&current[idx]))?;
+                            let task_costs = cost::evaluate(system, &current[idx])?;
                             let remaining = tasks[idx].deadline - hit.time;
-                            let fits =
-                                |site: ExecutionSite| task_costs.at(0, site).time <= remaining;
+                            let fits = |site: ExecutionSite| task_costs.at(site).time <= remaining;
                             let site = if fits(p.site) {
                                 p.site
                             } else {
@@ -473,10 +468,10 @@ pub fn execute_with_repair(
                                     .filter(|s| fits(*s))
                                     .min_by(|a, b| {
                                         task_costs
-                                            .at(0, *a)
+                                            .at(*a)
                                             .energy
                                             .value()
-                                            .total_cmp(&task_costs.at(0, *b).energy.value())
+                                            .total_cmp(&task_costs.at(*b).energy.value())
                                     })
                                     .unwrap_or(ExecutionSite::Cloud)
                             };
@@ -609,6 +604,31 @@ pub fn execute_with_repair(
     })
 }
 
+/// The one rule for picking a replacement shared-data source: the
+/// lowest-id live device other than `owner`, or `None` when every other
+/// device is dead. `is_dead` is indexed by device id and sized to the
+/// device count. Callers decide what losing the source means: serve drops
+/// the external dependency, [`execute_with_repair`] abandons the task with
+/// [`AbandonReason::DataLost`].
+#[must_use]
+pub fn replacement_source(owner: DeviceId, is_dead: &[bool]) -> Option<DeviceId> {
+    (0..is_dead.len())
+        .map(DeviceId)
+        .find(|d| !is_dead[d.0] && *d != owner)
+}
+
+/// Dense mask over `n` device ids marking `dead`; ids outside `0..n` are
+/// left out.
+fn dead_mask<'a>(n: usize, dead: impl IntoIterator<Item = &'a DeviceId>) -> Vec<bool> {
+    let mut is_dead = vec![false; n];
+    for d in dead {
+        if d.0 < n {
+            is_dead[d.0] = true;
+        }
+    }
+    is_dead
+}
+
 /// Re-derives a DTA coverage after `dead` devices dropped: their shares
 /// are redistributed to live owners of the same items (smallest current
 /// share first, lowest device id on ties), keeping the Section IV
@@ -636,15 +656,8 @@ pub fn repair_coverage(
             shares: coverage.shares().len(),
         });
     }
-    // Dense dead mask (was a `BTreeSet`). Out-of-range dead ids cannot
-    // hold a share or inherit items, so clamping them out of the mask
-    // preserves the set-based behavior.
-    let mut is_dead = vec![false; universe.num_devices()];
-    for d in dead {
-        if d.0 < is_dead.len() {
-            is_dead[d.0] = true;
-        }
-    }
+    // Out-of-range dead ids cannot hold a share or inherit items.
+    let is_dead = dead_mask(universe.num_devices(), dead);
     let mut shares: Vec<ItemSet> = coverage.shares().to_vec();
     let mut orphaned = ItemSet::new(universe.num_items());
     for (i, &dead_now) in is_dead.iter().enumerate() {
@@ -1040,6 +1053,15 @@ mod tests {
                 }),
             }
         ));
+    }
+
+    #[test]
+    fn replacement_source_is_the_lowest_live_device_other_than_the_owner() {
+        let dead = [true, false, false, true];
+        assert_eq!(replacement_source(DeviceId(2), &dead), Some(DeviceId(1)));
+        assert_eq!(replacement_source(DeviceId(1), &dead), Some(DeviceId(2)));
+        assert_eq!(replacement_source(DeviceId(1), &[true, false]), None);
+        assert_eq!(replacement_source(DeviceId(0), &[]), None);
     }
 
     #[test]

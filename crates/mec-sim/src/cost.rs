@@ -13,7 +13,6 @@
 //!   station–cloud backhaul together with the result, the cloud computes,
 //!   the owner downloads the result.
 
-use crate::arena::{DeviceIdx, ScenarioArena};
 use crate::error::MecError;
 use crate::radio::RadioLink;
 use crate::task::{ExecutionSite, HolisticTask};
@@ -118,79 +117,9 @@ pub fn evaluate(system: &MecSystem, task: &HolisticTask) -> Result<TaskCosts, Me
     ))
 }
 
-/// Resolved per-task lookups for the arena batch path: the owner's device
-/// row and, when the task has external data, the source's row plus
-/// whether retrieval crosses clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostFacts {
-    /// The task owner's device row.
-    pub owner: DeviceIdx,
-    /// `(source row, crosses clusters)` when `β > 0`.
-    pub external: Option<(DeviceIdx, bool)>,
-}
-
-/// Validates `task` against `system` and resolves the device rows the
-/// cost kernel needs — the exact checks (and error order) of
-/// [`evaluate`], split out so a batch builder can run them serially once
-/// and then price tasks with the infallible kernel, chunked across
-/// threads.
-///
-/// # Errors
-///
-/// Exactly [`evaluate`]'s errors, plus [`MecError::IndexOverflow`] for
-/// ids past the `u32` handle space.
-pub fn resolve(system: &MecSystem, task: &HolisticTask) -> Result<CostFacts, MecError> {
-    task.validate()?;
-    let owner = system.device(task.owner)?;
-    system.station(owner.station)?;
-    let external = match task.external_source {
-        Some(src) => {
-            system.device(src)?;
-            let cross = !system.same_cluster(task.owner, src)?;
-            Some((DeviceIdx::from_id(src)?, cross))
-        }
-        None => None,
-    };
-    Ok(CostFacts {
-        owner: DeviceIdx::from_id(task.owner)?,
-        external,
-    })
-}
-
-/// Prices one task from pre-resolved [`CostFacts`], reading device and
-/// station fields from the arena rows — bit-identical to [`evaluate`]
-/// because both call the same [`site_costs`] kernel with the same values.
-///
-/// # Panics
-///
-/// Panics if `facts` or `arena` were not built from `system` (row indices
-/// out of range).
-#[must_use]
-#[inline]
-pub fn evaluate_resolved(
-    system: &MecSystem,
-    arena: &ScenarioArena,
-    task: &HolisticTask,
-    facts: CostFacts,
-) -> TaskCosts {
-    let owner = facts.owner.index();
-    let station = arena.dev_station[owner] as usize;
-    let external = facts
-        .external
-        .map(|(src, cross)| (arena.dev_link[src.index()], cross));
-    site_costs(
-        system,
-        task,
-        &arena.dev_link[owner],
-        arena.dev_cpu[owner],
-        arena.st_cpu[station],
-        external,
-    )
-}
-
-/// The Section II arithmetic shared by [`evaluate`] and
-/// [`evaluate_resolved`]: every formula in one place so the struct path
-/// and the arena path cannot drift.
+/// The Section II arithmetic of [`evaluate`], over the already
+/// looked-up owner link, owner and station CPUs, and the external source's
+/// link plus whether retrieval crosses clusters.
 #[inline]
 fn site_costs(
     system: &MecSystem,
@@ -293,100 +222,6 @@ fn site_costs(
 
     TaskCosts {
         per_site: [device_cost, station_cost, cloud_cost],
-    }
-}
-
-/// Flat struct-of-arrays cost table: `times`/`energies` hold one stride-3
-/// row per task (`l = device, station, cloud` order), so batch consumers
-/// scan two contiguous `Vec<f64>`s instead of chasing per-task structs
-/// (DESIGN.md §11).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CostMatrix {
-    times: Vec<f64>,
-    energies: Vec<f64>,
-}
-
-impl CostMatrix {
-    /// An empty matrix with room for `n` task rows.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> CostMatrix {
-        CostMatrix {
-            times: Vec::with_capacity(3 * n),
-            energies: Vec::with_capacity(3 * n),
-        }
-    }
-
-    /// Prices every task serially: one [`resolve`] pass (first error
-    /// wins, in task order) and one kernel pass — the reference the
-    /// chunked parallel builders must be bit-identical to.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the per-task [`resolve`] errors, first task first.
-    pub fn build(
-        system: &MecSystem,
-        arena: &ScenarioArena,
-        tasks: &[HolisticTask],
-    ) -> Result<CostMatrix, MecError> {
-        let mut m = CostMatrix::with_capacity(tasks.len());
-        for task in tasks {
-            let facts = resolve(system, task)?;
-            m.push(evaluate_resolved(system, arena, task, facts));
-        }
-        Ok(m)
-    }
-
-    /// Appends one task row.
-    #[inline]
-    pub fn push(&mut self, costs: TaskCosts) {
-        for c in costs.per_site {
-            self.times.push(c.time.value());
-            self.energies.push(c.energy.value());
-        }
-    }
-
-    /// Moves every row of `other` onto the end of `self`, preserving row
-    /// order — how chunked parallel builders concatenate their pieces
-    /// back into one task-ordered table.
-    pub fn append(&mut self, other: &mut CostMatrix) {
-        self.times.append(&mut other.times);
-        self.energies.append(&mut other.energies);
-    }
-
-    /// Number of task rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.times.len() / 3
-    }
-
-    /// True iff no rows have been pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Cost of task `idx` at `site`; `None` out of range.
-    #[must_use]
-    pub fn site(&self, idx: usize, site: ExecutionSite) -> Option<SiteCost> {
-        let at = 3 * idx + site.index();
-        Some(SiteCost {
-            time: Seconds::new(*self.times.get(at)?),
-            energy: Joules::new(*self.energies.get(at)?),
-        })
-    }
-
-    /// All three site costs of task `idx`; `None` out of range.
-    #[must_use]
-    pub fn task_costs(&self, idx: usize) -> Option<TaskCosts> {
-        let row = self.times.get(3 * idx..3 * idx + 3)?;
-        let erow = self.energies.get(3 * idx..3 * idx + 3)?;
-        let site = |l: usize| SiteCost {
-            time: Seconds::new(row[l]),
-            energy: Joules::new(erow[l]),
-        };
-        Some(TaskCosts {
-            per_site: [site(0), site(1), site(2)],
-        })
     }
 }
 

@@ -181,12 +181,11 @@ fn fault_and_repair_event_sequence_is_identical_across_thread_counts() {
     let file = assign_scenario(&scenario, AlgorithmName::LpHta, 42).unwrap();
     let seeds: Vec<u64> = vec![0xC0FFEE, 1, 42];
     let fingerprints = |seeds: &[u64]| -> Vec<String> {
-        par::par_map(seeds, |&seed| {
+        par::par_map_result(seeds, |&seed| {
             chaos_assignment(&scenario, &file, Contention::Exclusive, seed)
-                .unwrap()
-                .report
-                .fingerprint()
+                .map(|run| run.report.fingerprint())
         })
+        .unwrap()
     };
     par::set_threads(1);
     let serial = fingerprints(&seeds);
